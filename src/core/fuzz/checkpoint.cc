@@ -5,7 +5,6 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
-#include <sstream>
 
 #include "core/fuzz/daemon.h"
 #include "device/snapshot.h"
@@ -1104,11 +1103,13 @@ bool CampaignCheckpoint::write_file(const std::string& path,
 
 bool CampaignCheckpoint::read_file(const std::string& path, std::string* out,
                                    std::string* error) {
-  std::ifstream f(path, std::ios::binary);
+  std::ifstream f(path, std::ios::binary | std::ios::ate);
   if (!f.is_open()) return fail(error, "cannot open " + path);
-  std::ostringstream ss;
-  ss << f.rdbuf();
-  *out = ss.str();
+  const std::streamoff size = f.tellg();
+  if (size < 0) return fail(error, "cannot read " + path);
+  out->resize(static_cast<size_t>(size));
+  f.seekg(0);
+  if (!f.read(out->data(), size)) return fail(error, "cannot read " + path);
   return true;
 }
 

@@ -532,15 +532,14 @@ namespace {
 
 // One replay's coverage footprint on a scratch device: the execution's
 // features plus a token per driver state-transition it exercised. The
-// state matrices are campaign-cumulative (they survive the pre-replay
-// reboot), so transitions are read as before/after deltas. Transition
+// state matrices are campaign-cumulative (a snapshot restore leaves them
+// alone), so transitions are read as before/after deltas. Transition
 // tokens live under pseudo-driver 0xFFFE — below the HAL 0xFFFF namespace
 // and above every real driver id, so they can never collide with kcov or
 // directional features.
 std::vector<uint64_t> footprint_on(device::Device& scratch, Broker& broker,
                                    const ExecOptions& opt,
                                    const dsl::Program& prog) {
-  scratch.reboot();
   const auto& drvs = scratch.kernel().drivers();
   std::vector<std::vector<uint64_t>> before;
   before.reserve(drvs.size());
@@ -567,28 +566,53 @@ std::vector<uint64_t> footprint_on(device::Device& scratch, Broker& broker,
 
 }  // namespace
 
-std::vector<uint64_t> Engine::replay_footprint(const dsl::Program& prog) {
+// The pristine image is a freshly built and rebooted catalog device, and
+// the snapshot layer rewinds everything a replay can observe: heap, VFS,
+// every driver including its reboot-persistent blobs (rt1711's probe
+// count), KASAN, HAL services, the kernel RNG and any latched panic. A
+// failed restore leaves the device unspecified, so the replayer then
+// rebuilds it from scratch instead of replaying on it.
+FootprintReplayer::FootprintReplayer(const device::Device& campaign,
+                                     const trace::SpecTable& spec,
+                                     const ExecOptions& opt)
+    : id_(campaign.spec().id), seed_(campaign.seed()), spec_(spec),
+      opt_(opt) {
+  opt_.reboot_on_bug = false;  // every replay starts from a restore anyway
+  rebuild();
+}
+
+std::vector<uint64_t> FootprintReplayer::replay(const dsl::Program& prog) {
+  if (!broker_->restore_snapshot(pristine_)) rebuild();
+  return footprint_on(*dev_, *broker_, opt_, prog);
+}
+
+void FootprintReplayer::rebuild() {
+  broker_.reset();  // exits its task while the old device still exists
+  dev_ = device::make_device(id_, seed_);
+  broker_ = std::make_unique<Broker>(*dev_, spec_);
+  dev_->reboot();
+  pristine_ = broker_->capture_snapshot();
+  ++builds_;
+}
+
+FootprintReplayer Engine::footprint_replayer() {
   if (!ready()) setup();
-  auto scratch = device::make_device(dev_.spec().id, dev_.seed());
-  Broker broker(*scratch, spec_);
-  ExecOptions opt = exec_options();
-  opt.reboot_on_bug = false;  // scratch state is disposable; keep replaying
-  return footprint_on(*scratch, broker, opt, prog);
+  return FootprintReplayer(dev_, spec_, exec_options());
+}
+
+std::vector<uint64_t> Engine::replay_footprint(const dsl::Program& prog) {
+  return footprint_replayer().replay(prog);
 }
 
 DistillStats Engine::distill_corpus(bool dry_run) {
-  if (!ready()) setup();
-  // A fresh scratch device per replay, not one shared across the pass:
-  // drivers keep per-boot state a reboot deliberately does not erase
-  // (rt1711's vendor-init retry coverage varies with its probe count), so
-  // on a shared device a program's footprint would depend on its position
-  // in the replay sequence — and the verification pass, which replays the
-  // kept seeds at different positions, would see spurious drift. Per-replay
-  // devices make the footprint a pure function of the program, which the
-  // bit-identical-replay contract requires. The campaign device never sees
-  // any of this.
+  // Every replay of the pass, the verification replays of the kept seeds
+  // included, runs on one scratch device rewound to its pristine image
+  // before each replay, so a seed's footprint does not depend on where in
+  // the sequence it replays (the verification pass replays the kept seeds
+  // at other positions). The campaign device never sees any of this.
+  FootprintReplayer replayer = footprint_replayer();
   const DistillStats stats = corpus_.distill(
-      [&](const dsl::Program& prog) { return replay_footprint(prog); },
+      [&](const dsl::Program& prog) { return replayer.replay(prog); },
       dry_run);
   last_distill_ = stats;
   has_distill_stats_ = true;

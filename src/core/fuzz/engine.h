@@ -116,6 +116,36 @@ struct StepStats {
   bool lost_exec = false;  // transport fault ate the execution
 };
 
+// Replays programs for their coverage footprints (DESIGN.md §12) on one
+// scratch device built from a campaign device's catalog spec and seed, and
+// rewound to its freshly booted image before every replay. Each footprint
+// is therefore the one a brand-new device would report, whatever was
+// replayed before it. Engine::footprint_replayer() makes one per distill
+// pass; the campaign device is never touched.
+class FootprintReplayer {
+ public:
+  FootprintReplayer(const device::Device& campaign,
+                    const trace::SpecTable& spec, const ExecOptions& opt);
+
+  // The execution's feature set plus one token per driver state-transition
+  // the replay exercised.
+  std::vector<uint64_t> replay(const dsl::Program& prog);
+  // Scratch devices built so far: 1, plus one per failed restore.
+  uint64_t builds() const { return builds_; }
+
+ private:
+  void rebuild();
+
+  std::string id_;
+  uint64_t seed_;
+  const trace::SpecTable& spec_;
+  ExecOptions opt_;
+  std::unique_ptr<device::Device> dev_;
+  std::unique_ptr<Broker> broker_;
+  device::StateSnapshot pristine_;
+  uint64_t builds_ = 0;
+};
+
 class Engine {
  public:
   Engine(device::Device& dev, EngineConfig cfg);
@@ -177,11 +207,15 @@ class Engine {
 
   // --- corpus distillation (DESIGN.md §12) -----------------------------------
   // Dynamic coverage footprint of `prog`, replayed on a *scratch* device
-  // built from the same catalog spec and seed — the campaign device, RNG
-  // and feature set are untouched. The footprint is the execution's feature
-  // set plus one token per driver state-transition the replay exercised,
-  // so two programs with equal footprints drive identical coverage.
+  // built from the same catalog spec and seed and rewound to its freshly
+  // booted image — the campaign device, RNG and feature set are untouched.
+  // The footprint is the execution's feature set plus one token per driver
+  // state-transition the replay exercised, so two programs with equal
+  // footprints drive identical coverage.
   std::vector<uint64_t> replay_footprint(const dsl::Program& prog);
+  // A replayer for many footprints in a row (one scratch device for all of
+  // them); replay_footprint and distill_corpus both replay through one.
+  FootprintReplayer footprint_replayer();
   // Runs Corpus::distill with the scratch-replay oracle. `dry_run` reports
   // what distillation would drop without touching the corpus (the only mode
   // safe mid-campaign; see EngineConfig::distill_at_checkpoint).

@@ -4,29 +4,35 @@
 
 namespace df::obs {
 
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
+namespace {
+
+// Appends `s` escaped for a JSON string literal to `out` (quotes not
+// included). Control characters become \uXXXX. Runs of characters that
+// need no escape are appended in one piece.
+void append_escaped(std::string& out, std::string_view s) {
+  size_t run = 0;
+  for (size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(s.data() + run, i - run);
+    run = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
       case '\n': out += "\\n"; break;
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
+      default: {
+        char buf[8];
+        std::snprintf(buf, sizeof buf, "\\u%04x", static_cast<unsigned>(c));
+        out += buf;
+      }
     }
   }
-  return out;
+  out.append(s.data() + run, s.size() - run);
 }
+
+}  // namespace
 
 void JsonWriter::before_item() {
   if (after_key_) {
@@ -68,7 +74,7 @@ JsonWriter& JsonWriter::end_array() {
 JsonWriter& JsonWriter::key(std::string_view k) {
   before_item();
   out_ += '"';
-  out_ += json_escape(k);
+  append_escaped(out_, k);
   out_ += "\":";
   after_key_ = true;
   return *this;
@@ -77,7 +83,7 @@ JsonWriter& JsonWriter::key(std::string_view k) {
 JsonWriter& JsonWriter::value(std::string_view s) {
   before_item();
   out_ += '"';
-  out_ += json_escape(s);
+  append_escaped(out_, s);
   out_ += '"';
   return *this;
 }

@@ -10,10 +10,6 @@
 
 namespace df::obs {
 
-// Escapes `s` for embedding inside a JSON string literal (quotes not
-// included). Control characters become \uXXXX.
-std::string json_escape(std::string_view s);
-
 // Streaming writer with container bookkeeping (commas, key/value pairing).
 // Misuse (value without key inside an object, unbalanced end) is a logic
 // error; the writer keeps going and the checker script flags the result.

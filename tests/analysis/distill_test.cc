@@ -1,15 +1,18 @@
 // Tests for canonicalization, static subsumption (checked against a
 // brute-force multiset oracle), Corpus::distill in both static-only and
 // replay-oracle modes, and the Engine's scratch-replay distillation
-// including the bit-identical-coverage-on-replay contract.
+// including the bit-identical-coverage-on-replay contract and a
+// differential check of the rewound replayer against fresh devices.
 #include "analysis/distill.h"
 
 #include <gtest/gtest.h>
 
 #include <map>
 
+#include "core/descriptions.h"
 #include "core/fuzz/engine.h"
 #include "device/catalog.h"
+#include "dsl/parse.h"
 #include "util/hash.h"
 #include "util/rng.h"
 
@@ -348,6 +351,156 @@ TEST(EngineDistillTest, DryRunDistillDoesNotPerturbTheCampaign) {
   EXPECT_EQ(straight.corpus().size(), interleaved.corpus().size());
   for (size_t i = 0; i < straight.corpus().size(); ++i) {
     EXPECT_EQ(straight.corpus().at(i).hash, interleaved.corpus().at(i).hash);
+  }
+}
+
+// The reference oracle for the rewound replayer: a brand-new catalog device
+// and broker for every replay, rebooted before the program runs, with the
+// footprint (features plus driver state-transition tokens) computed here
+// from scratch.
+class FreshDeviceOracle {
+ public:
+  explicit FreshDeviceOracle(core::Engine& eng)
+      : id_(eng.device().spec().id),
+        seed_(eng.device().seed()),
+        spec_(core::make_spec_table(eng.calls())) {
+    opt_.hal_directional = eng.config().hal_feedback;
+    opt_.reboot_on_bug = false;
+  }
+
+  std::vector<uint64_t> operator()(const dsl::Program& prog) {
+    auto dev = device::make_device(id_, seed_);
+    core::Broker broker(*dev, spec_);
+    dev->reboot();
+    const auto& drvs = dev->kernel().drivers();
+    std::vector<std::vector<uint64_t>> before;
+    for (const auto& d : drvs) before.push_back(d->state_matrix());
+    const core::ExecResult res = broker.execute(prog, opt_);
+    last_bug_ = res.any_bug();
+    std::vector<uint64_t> fp = res.features;
+    for (size_t di = 0; di < drvs.size(); ++di) {
+      const auto& after = drvs[di]->state_matrix();
+      const size_t n = drvs[di]->state_names().size();
+      for (size_t cell = 0; n != 0 && cell < after.size(); ++cell) {
+        const uint64_t prev =
+            cell < before[di].size() ? before[di][cell] : 0;
+        if (after[cell] > prev) {
+          fp.push_back((0xFFFEull << 48) | (uint64_t{di} << 32) |
+                       (uint64_t{cell / n} << 16) | uint64_t{cell % n});
+        }
+      }
+    }
+    return fp;
+  }
+
+  bool last_bug() const { return last_bug_; }
+
+ private:
+  std::string id_;
+  uint64_t seed_;
+  trace::SpecTable spec_;
+  core::ExecOptions opt_;
+  bool last_bug_ = false;
+};
+
+// One handcrafted bug trigger per catalog device (Table II reproducers);
+// A1's lockdep BUG and the A2/D KASAN reports all latch a kernel panic.
+const std::map<std::string, std::string>& bug_programs() {
+  static const std::map<std::string, std::string> kPrograms = {
+      {"A1",
+       "r0 = hal$sensors.activate(0x2, 0x1)\n"
+       "hal$sensors.setDelay(0x2, 0x1f4)\n"
+       "hal$sensors.poll(0x10)\n"
+       "hal$sensors.batch(0x2, 0x40, 0xc)\n"},
+      {"A2",
+       "hal$bluetooth.enable()\n"
+       "hal$bluetooth.setCodecs(0x28, blob\"\")\n"
+       "hal$bluetooth.readCodecs()\n"},
+      {"B",
+       "r0 = hal$bluetooth.connectProfile(0x19)\n"
+       "hal$bluetooth.disconnectProfile(r0)\n"},
+      {"C1",
+       "r0 = hal$camera.openCamera(0x0)\n"
+       "hal$camera.configureStreams(r0, 0x2, 0x500, 0x2d0)\n"
+       "hal$camera.stopStreams(r0)\n"
+       "hal$camera.capture(r0, 0x1)\n"},
+      {"C2",
+       "hal$wifi.scan()\n"
+       "hal$wifi.setPowerSave(0x2)\n"
+       "hal$wifi.setRateMask(0x4, blob\"01020304\")\n"
+       "hal$wifi.setRateMask(0x0, blob\"\")\n"
+       "hal$wifi.connect(0x0)\n"},
+      {"D",
+       "r0 = hal$bluetooth.listenProfile(0x19)\n"
+       "r1 = hal$bluetooth.connectProfile(0x19)\n"
+       "r2 = hal$bluetooth.acceptProfile(r0)\n"
+       "hal$bluetooth.cleanup()\n"},
+      {"E",
+       "r0 = hal$camera.openCamera(0x0)\n"
+       "hal$camera.configureStreams(r0, 0x2, 0x280, 0x1e0)\n"
+       "hal$camera.capture(r0, 0x1)\n"
+       "hal$camera.setVendorFormat(r0, 0x3)\n"
+       "hal$camera.getCapabilities(r0)\n"},
+  };
+  return kPrograms;
+}
+
+// Differential check of the rewound replayer: on every catalog device
+// (odd ones with substrate faults in the campaign), each corpus seed and a
+// bug-triggering program, replayed in one sequence on one scratch device,
+// must yield exactly the footprint a fresh device reports; and a dry-run
+// distill through the rewound path must report the stats the fresh-device
+// oracle yields.
+TEST(EngineDistillTest, RewoundReplayMatchesFreshDevicePerReplay) {
+  size_t index = 0;
+  for (const auto& spec : device::device_table()) {
+    SCOPED_TRACE(spec.id);
+    const uint64_t seed = 31 + index;
+    auto dev = device::make_device(spec.id, seed);
+    ASSERT_NE(dev, nullptr);
+    core::EngineConfig cfg;
+    cfg.seed = seed;
+    if (index++ % 2 == 1) cfg.fault.rate = 0.02;
+    core::Engine eng(*dev, cfg);
+    eng.run(600);
+    ASSERT_GT(eng.corpus().size(), 1u);
+
+    std::string err;
+    const auto bug =
+        dsl::parse_program(bug_programs().at(spec.id), eng.calls(), &err);
+    ASSERT_TRUE(bug.has_value()) << err;
+    FreshDeviceOracle oracle(eng);
+    oracle(*bug);
+    ASSERT_TRUE(oracle.last_bug());
+
+    // The bug program runs first, mid-sequence and last, so seeds replay
+    // right after a latched panic, KASAN report or HAL crash.
+    std::vector<dsl::Program> progs = {*bug};
+    for (size_t i = 0; i < eng.corpus().size(); ++i) {
+      progs.push_back(eng.corpus().at(i).prog);
+      if (i == eng.corpus().size() / 2) progs.push_back(*bug);
+    }
+    progs.push_back(*bug);
+
+    core::FootprintReplayer replayer = eng.footprint_replayer();
+    for (size_t i = 0; i < progs.size(); ++i) {
+      ASSERT_EQ(replayer.replay(progs[i]), oracle(progs[i]))
+          << "replay " << i << " of " << progs.size();
+    }
+    EXPECT_EQ(replayer.builds(), 1u);  // one scratch device for them all
+
+    core::Corpus reference = eng.corpus();
+    const core::DistillStats want = reference.distill(
+        [&](const dsl::Program& p) { return oracle(p); }, /*dry_run=*/true);
+    const core::DistillStats got = eng.distill_corpus(/*dry_run=*/true);
+    EXPECT_EQ(got.before, want.before);
+    EXPECT_EQ(got.after, want.after);
+    EXPECT_EQ(got.dropped_static, want.dropped_static);
+    EXPECT_EQ(got.dropped_covered, want.dropped_covered);
+    EXPECT_EQ(got.footprint_union, want.footprint_union);
+    EXPECT_EQ(got.verified, want.verified);
+    EXPECT_TRUE(got.verified);
+    EXPECT_TRUE(got.dry_run);
   }
 }
 

@@ -167,6 +167,19 @@ TEST(JsonWriterBasics, EscapesAndNesting) {
             "\"arr\":[1,2.5,true]}");
 }
 
+TEST(JsonWriterBasics, EscapesControlBytesInKeysAndValues) {
+  JsonWriter w;
+  w.begin_object();
+  w.field("\tk\"", std::string("\x01" "a\rb\x1f", 5));
+  w.field("", "");
+  w.field("utf8", "\xc3\xa9\\");
+  w.end_object();
+  EXPECT_EQ(w.str(),
+            "{\"\\tk\\\"\":\"\\u0001a\\rb\\u001f\","
+            "\"\":\"\","
+            "\"utf8\":\"\xc3\xa9\\\\\"}");
+}
+
 TEST(JsonWriterBasics, RawInsertsVerbatim) {
   JsonWriter w;
   w.begin_object();

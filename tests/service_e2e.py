@@ -19,12 +19,14 @@ over HTTP:
 Usage: service_e2e.py <path-to-df_service> [workdir]
 
 The workdir (default: a fresh temp dir) keeps the service root and the
-service log; CI uploads it as an artifact when the test fails.
+service log; CI uploads it as an artifact when the test fails. A root/ left
+in it by an earlier run is removed before the service starts.
 """
 
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -91,6 +93,9 @@ def main(argv):
         prefix="df_service_e2e_")
     os.makedirs(workdir, exist_ok=True)
     root = os.path.join(workdir, "root")
+    # A root left by an earlier run would make boot() re-enqueue its jobs;
+    # every run starts from an empty service root.
+    shutil.rmtree(root, ignore_errors=True)
     log_path = os.path.join(workdir, "df_service.log")
 
     log = open(log_path, "w")
