@@ -17,6 +17,7 @@
 #include "kernel/kcov.h"
 #include "core/descriptions.h"
 #include "core/exec/broker.h"
+#include "core/feedback/coverage.h"
 #include "core/fuzz/engine.h"
 #include "core/gen/generator.h"
 #include "core/probe/hal_probe.h"
@@ -72,7 +73,8 @@ void BM_RelationObserve(benchmark::State& state) {
 }
 BENCHMARK(BM_RelationObserve);
 
-// One fully assembled device + call table shared across iterations.
+// One fully assembled device + call table. fixture() is the instance shared
+// across cases; cases that need a pristine device build their own.
 struct Fixture {
   Fixture() {
     dev = device::make_device("A1", 1);
@@ -121,8 +123,12 @@ void BM_FormatParseRoundTrip(benchmark::State& state) {
 }
 BENCHMARK(BM_FormatParseRoundTrip);
 
+// The gbench cases below that execute on the device build their own Fixture:
+// the shared one has been driven through every earlier case's executions,
+// which would leave its device state, and so its costs, depending on case
+// order.
 void BM_BrokerExecute(benchmark::State& state) {
-  auto& f = fixture();
+  Fixture f;
   core::Broker broker(*f.dev, f.spec);
   util::Rng rng(4);
   core::Generator gen(f.table, f.rel, f.corpus, rng, {});
@@ -200,9 +206,8 @@ BENCHMARK(BM_DeviceReboot);
 
 // Warms `dev` through `broker` with `total` generated programs and returns
 // the last `keep` of them (the establishment prefix a fork would skip).
-std::vector<dsl::Program> warm_device(core::Broker& broker, uint64_t seed,
-                                      int total, int keep) {
-  auto& f = fixture();
+std::vector<dsl::Program> warm_device(Fixture& f, core::Broker& broker,
+                                      uint64_t seed, int total, int keep) {
   util::Rng rng(seed);
   core::Generator gen(f.table, f.rel, f.corpus, rng, {});
   std::vector<dsl::Program> kept;
@@ -215,9 +220,9 @@ std::vector<dsl::Program> warm_device(core::Broker& broker, uint64_t seed,
 }
 
 void BM_SnapshotCapture(benchmark::State& state) {
-  auto& f = fixture();
+  Fixture f;
   core::Broker broker(*f.dev, f.spec);
-  warm_device(broker, 31, 50, 0);
+  warm_device(f, broker, 31, 50, 0);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         device::capture_snapshot(*f.dev, broker.native_task()));
@@ -226,9 +231,9 @@ void BM_SnapshotCapture(benchmark::State& state) {
 BENCHMARK(BM_SnapshotCapture);
 
 void BM_SnapshotRestore(benchmark::State& state) {
-  auto& f = fixture();
+  Fixture f;
   core::Broker broker(*f.dev, f.spec);
-  warm_device(broker, 32, 50, 0);
+  warm_device(f, broker, 32, 50, 0);
   const device::StateSnapshot snap =
       device::capture_snapshot(*f.dev, broker.native_task());
   for (auto _ : state) {
@@ -245,9 +250,9 @@ BENCHMARK(BM_SnapshotRestore);
 // (The engine's reestablish() replays only a 4-seed rewarm suffix, which
 // is cheaper but *loses* the deep state instead of recovering it.)
 void BM_FullReestablish(benchmark::State& state) {
-  auto& f = fixture();
+  Fixture f;
   core::Broker broker(*f.dev, f.spec);
-  const std::vector<dsl::Program> est = warm_device(broker, 33, 50, 50);
+  const std::vector<dsl::Program> est = warm_device(f, broker, 33, 50, 50);
   for (auto _ : state) {
     f.dev->reboot();
     for (const dsl::Program& p : est) broker.execute(p);
@@ -358,6 +363,27 @@ void BM_FeatureSetAddNewStdSet(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FeatureSetAddNewStdSet);
+
+// Energy-weighted corpus selection at the size A1's corpus reaches over a
+// 90k-exec campaign: 1,000 distinct one-call seeds with varied new_features.
+// Each pick scans the cached energies once and recomputes only the picked
+// seed's.
+void BM_CorpusPick(benchmark::State& state) {
+  constexpr int kSeeds = 1000;
+  dsl::CallTable table;
+  core::Corpus corpus;
+  util::Rng rng(10);
+  for (int i = 0; i < kSeeds; ++i) {
+    dsl::CallDesc d;
+    d.name = "pick" + std::to_string(i);
+    core::Seed seed;
+    seed.prog.calls.emplace_back().desc = table.add(std::move(d));
+    seed.new_features = rng.below(256);
+    corpus.add(std::move(seed));
+  }
+  for (auto _ : state) benchmark::DoNotOptimize(&corpus.pick(rng));
+}
+BENCHMARK(BM_CorpusPick);
 
 // --- observability primitives -----------------------------------------------
 

@@ -35,6 +35,7 @@ bool Corpus::add(Seed seed) {
       seed.parent_hash = 0;  // parent never made the corpus: a root
     }
   }
+  energies_.push_back(energy(seed));
   seeds_.push_back(std::move(seed));
   return true;
 }
@@ -197,11 +198,13 @@ DistillStats Corpus::distill(const FootprintFn& footprint, bool dry_run) {
       if (!drop[i]) kept.push_back(std::move(seeds_[i]));
     }
     seeds_ = std::move(kept);
+    energies_.clear();
+    for (const Seed& s : seeds_) energies_.push_back(energy(s));
   }
   return stats;
 }
 
-double Corpus::energy(const Seed& s) const {
+double Corpus::energy(const Seed& s) {
   // Richer seeds carry more energy; repeated picking cools them down.
   const double richness = std::log2(2.0 + static_cast<double>(s.new_features));
   const double fatigue = 1.0 + 0.1 * static_cast<double>(s.hits);
@@ -210,11 +213,10 @@ double Corpus::energy(const Seed& s) const {
 
 const Seed& Corpus::pick(util::Rng& rng) {
   ++picks_;
-  std::vector<double> w;
-  w.reserve(seeds_.size());
-  for (const Seed& s : seeds_) w.push_back(energy(s));
-  Seed& chosen = seeds_[rng.weighted(w)];
+  const size_t i = rng.weighted(energies_);
+  Seed& chosen = seeds_[i];
   ++chosen.hits;
+  energies_[i] = energy(chosen);
   return chosen;
 }
 

@@ -49,7 +49,7 @@ class FeatureSet {
 struct Seed {
   dsl::Program prog;
   size_t new_features = 0;   // features this seed contributed when added
-  uint64_t exec_index = 0;   // when it was found (for recency weighting)
+  uint64_t exec_index = 0;   // when it was found (lineage and export only)
   uint64_t hits = 0;         // times picked for mutation
   // --- lineage (DESIGN.md §11) --------------------------------------------
   uint64_t hash = 0;         // dsl::program_hash(prog); filled by Corpus::add
@@ -79,10 +79,15 @@ struct DistillStats {
   }
 };
 
-// Seed corpus with energy-weighted selection: fresh, feature-rich seeds are
-// mutated more; stale, over-fuzzed seeds fade. Every seed carries its
-// lineage (parent edge, origin, generation depth) so campaigns can explain
-// where coverage came from.
+// Seed corpus with energy-weighted selection: feature-rich seeds are
+// mutated more; over-fuzzed seeds fade. Every seed carries its lineage
+// (parent edge, origin, generation depth) so campaigns can explain where
+// coverage came from.
+//
+// Invariant: energies_[i] == energy(seeds_[i]) for every i. A seed's energy
+// changes only when pick() bumps its hits, so pick() recomputes just that
+// entry; the draw itself still scans every energy in insertion order, which
+// keeps each pick bit-identical to rebuilding the vector (DESIGN.md §4).
 class Corpus {
  public:
   // Adds a seed if its program hash is unseen. Returns true when added.
@@ -92,7 +97,8 @@ class Corpus {
   bool empty() const { return seeds_.empty(); }
   size_t size() const { return seeds_.size(); }
 
-  // Energy-weighted pick; increments the seed's hit counter.
+  // Energy-weighted pick; increments the seed's hit counter. Requires a
+  // non-empty corpus.
   const Seed& pick(util::Rng& rng);
   const Seed& at(size_t i) const { return seeds_[i]; }
 
@@ -130,14 +136,16 @@ class Corpus {
   DistillStats distill(const FootprintFn& footprint, bool dry_run = false);
 
   uint64_t total_picks() const { return picks_; }
-  // Checkpoint support: restores the cumulative pick counter (it feeds the
-  // recency term of energy(), so a resumed run must not restart it at 0).
+  // Checkpoint support: restores the cumulative pick counter, so a resumed
+  // run reports the same total_picks() as an uninterrupted one. energy()
+  // does not read it.
   void restore_picks(uint64_t picks) { picks_ = picks; }
 
  private:
-  double energy(const Seed& s) const;
+  static double energy(const Seed& s);
 
   std::vector<Seed> seeds_;
+  std::vector<double> energies_;  // parallel to seeds_
   util::U64Set hashes_;
   uint64_t picks_ = 0;
 };

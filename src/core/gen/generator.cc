@@ -25,22 +25,28 @@ bool Generator::allowed(const CallDesc* d) const {
          nr == kernel::Sys::kClose;
 }
 
-const CallDesc* Generator::random_allowed_call() {
-  if (allowed_cache_.size() != table_.size()) {
-    allowed_cache_.clear();
-    for (const CallDesc* d : table_.all()) {
-      if (allowed(d)) allowed_cache_.push_back(d);
-    }
+void Generator::refresh_draw_tables() {
+  if (tables_size_ == table_.size() && tables_epoch_ == rel_.vertex_epoch()) {
+    return;
   }
-  if (allowed_cache_.empty()) return nullptr;
-  // Weighted by vertex weight (interface ranking).
-  std::vector<double> w;
-  w.reserve(allowed_cache_.size());
-  for (const CallDesc* d : allowed_cache_) {
+  tables_size_ = table_.size();
+  tables_epoch_ = rel_.vertex_epoch();
+  allowed_ = {};
+  for (const CallDesc* d : table_.all()) {
+    if (!allowed(d)) continue;
+    allowed_.calls.push_back(d);
+    // Weighted by vertex weight (interface ranking).
     const double vw = rel_.vertex_weight(d);
-    w.push_back(vw > 0 ? vw : d->weight);
+    allowed_.weights.push_back(vw > 0 ? vw : d->weight);
   }
-  return allowed_cache_[rng_.weighted(w)];
+  allowed_.total = util::weight_total(allowed_.weights);
+  producer_tables_.clear();
+}
+
+const CallDesc* Generator::random_allowed_call() {
+  refresh_draw_tables();
+  if (allowed_.calls.empty()) return nullptr;
+  return allowed_.calls[rng_.weighted(allowed_.weights, allowed_.total)];
 }
 
 const CallDesc* Generator::pick_related_or_random(const dsl::Program& prog) {
@@ -53,15 +59,15 @@ const CallDesc* Generator::pick_related_or_random(const dsl::Program& prog) {
       }
     }
     if (!types.empty()) {
+      refresh_draw_tables();
       std::vector<const CallDesc*> related;
       std::vector<double> w;
-      for (const CallDesc* d : table_.all()) {
-        if (!allowed(d)) continue;
+      for (size_t i = 0; i < allowed_.calls.size(); ++i) {
+        const CallDesc* d = allowed_.calls[i];
         for (std::string_view t : types) {
           if (d->consumes(t)) {
             related.push_back(d);
-            const double vw = rel_.vertex_weight(d);
-            w.push_back(vw > 0 ? vw : d->weight);
+            w.push_back(allowed_.weights[i]);
             break;
           }
         }
@@ -73,16 +79,21 @@ const CallDesc* Generator::pick_related_or_random(const dsl::Program& prog) {
 }
 
 const CallDesc* Generator::choose_producer(std::string_view type) {
-  auto producers = table_.producers_of(type);
-  std::vector<const CallDesc*> ok;
-  std::vector<double> w;
-  for (const CallDesc* d : producers) {
-    if (!allowed(d)) continue;
-    ok.push_back(d);
-    w.push_back(d->weight);
+  refresh_draw_tables();
+  auto it = producer_tables_.find(type);
+  if (it == producer_tables_.end()) {
+    DrawTable t;
+    for (const CallDesc* d : table_.producers_of(type)) {
+      if (!allowed(d)) continue;
+      t.calls.push_back(d);
+      t.weights.push_back(d->weight);
+    }
+    t.total = util::weight_total(t.weights);
+    it = producer_tables_.emplace(std::string(type), std::move(t)).first;
   }
-  if (ok.empty()) return nullptr;
-  return ok[rng_.weighted(w)];
+  const DrawTable& t = it->second;
+  if (t.calls.empty()) return nullptr;
+  return t.calls[rng_.weighted(t.weights, t.total)];
 }
 
 Call Generator::instantiate(const CallDesc* d) {

@@ -10,6 +10,9 @@
 // random dependency generation; ioctl_only=true gives DROIDFUZZ-D.
 #pragma once
 
+#include <map>
+#include <string>
+
 #include "analysis/semantic.h"
 #include "core/feedback/coverage.h"
 #include "core/relation/graph.h"
@@ -90,6 +93,9 @@ class Generator {
 
  private:
   bool allowed(const dsl::CallDesc* d) const;
+  // Rebuilds every cached draw table when the call table grew or the
+  // relation graph's vertex weights changed since the last build.
+  void refresh_draw_tables();
   const dsl::CallDesc* random_allowed_call();
   // Resource-aware choice (syzkaller-style): with probability
   // `related_bias`, prefer calls that consume a resource type some call of
@@ -106,7 +112,21 @@ class Generator {
   Corpus& corpus_;
   util::Rng& rng_;
   GenConfig cfg_;
-  std::vector<const dsl::CallDesc*> allowed_cache_;
+  // Draw tables: a call list, its weights and their util::weight_total,
+  // reused by every draw until refresh_draw_tables() rebuilds them. Draws
+  // from a table are bit-identical to rebuilding its weights per draw.
+  struct DrawTable {
+    std::vector<const dsl::CallDesc*> calls;
+    std::vector<double> weights;
+    double total = 0;
+  };
+  size_t tables_size_ = 0;
+  uint64_t tables_epoch_ = 0;
+  // Allowed calls in table order, weighted by vertex weight.
+  DrawTable allowed_;
+  // Allowed producers per handle type, weighted by description weight;
+  // filled lazily by choose_producer().
+  std::map<std::string, DrawTable, std::less<>> producer_tables_;
   const analysis::ProgramLint* lint_ = nullptr;
   const analysis::GuardIndex* guards_ = nullptr;
   obs::Counter* c_rejected_ = nullptr;

@@ -10,14 +10,19 @@ size_t RelationGraph::index_of(const dsl::CallDesc* call) const {
 }
 
 void RelationGraph::add_vertex(const dsl::CallDesc* call, double weight) {
+  ++vertex_epoch_;
   const size_t idx = index_of(call);
   if (idx != kNoIndex) {
     weights_[idx] = std::max(weight, kMinVertexWeight);
+    weights_total_ = util::weight_total(weights_);
     return;
   }
   index_.emplace(call, vertices_.size());
   vertices_.push_back(call);
   weights_.push_back(std::max(weight, kMinVertexWeight));
+  // Adding the appended weight last is exactly the index-order sum
+  // util::weight_total() computes (all weights are positive).
+  weights_total_ += weights_.back();
   out_.emplace_back();
   in_.emplace_back();
 }
@@ -120,7 +125,7 @@ void RelationGraph::restore_edge(size_t from, size_t to, double weight) {
 
 const dsl::CallDesc* RelationGraph::pick_base(util::Rng& rng) const {
   if (vertices_.empty()) return nullptr;
-  return vertices_[rng.weighted(weights_)];
+  return vertices_[rng.weighted(weights_, weights_total_)];
 }
 
 const dsl::CallDesc* RelationGraph::pick_next(const dsl::CallDesc* from,

@@ -34,6 +34,9 @@ class RelationGraph {
   bool has_vertex(const dsl::CallDesc* call) const;
   size_t vertex_count() const { return vertices_.size(); }
   size_t edge_count() const { return edge_count_; }
+  // Bumped by every add_vertex(): callers that cache vertex weights (the
+  // generator's draw tables) rebuild when it moves.
+  uint64_t vertex_epoch() const { return vertex_epoch_; }
 
   // Applies the Eq. (1) update for an observed dependency a -> b.
   void observe_relation(const dsl::CallDesc* a, const dsl::CallDesc* b);
@@ -83,6 +86,8 @@ class RelationGraph {
   std::unordered_map<const dsl::CallDesc*, size_t> index_;
   std::vector<const dsl::CallDesc*> vertices_;  // insertion order
   std::vector<double> weights_;
+  double weights_total_ = 0;  // util::weight_total(weights_)
+  uint64_t vertex_epoch_ = 0;
   // Adjacency by vertex index (std::map keeps destinations ordered).
   std::vector<std::map<size_t, double>> out_;
   std::vector<std::map<size_t, double>> in_;

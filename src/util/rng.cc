@@ -64,10 +64,18 @@ double Rng::uniform() {
   return static_cast<double>(next() >> 11) * 0x1.0p-53;
 }
 
-size_t Rng::weighted(const std::vector<double>& weights) {
-  if (weights.empty()) return 0;
+double weight_total(const std::vector<double>& weights) {
   double total = 0;
   for (double w : weights) total += (w > 0 ? w : 0);
+  return total;
+}
+
+size_t Rng::weighted(const std::vector<double>& weights) {
+  return weighted(weights, weight_total(weights));
+}
+
+size_t Rng::weighted(const std::vector<double>& weights, double total) {
+  if (weights.empty()) return 0;
   if (total <= 0) return below(weights.size());
   double pick = uniform() * total;
   for (size_t i = 0; i < weights.size(); ++i) {

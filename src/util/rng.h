@@ -11,6 +11,11 @@
 
 namespace df::util {
 
+// Sum of the positive entries of `weights`, in index order: the total that
+// Rng::weighted(weights) draws against. The order is part of the contract,
+// since a different summation order can round differently and move a draw.
+double weight_total(const std::vector<double>& weights);
+
 // Raw xoshiro256** state, exposed so campaign checkpoints can persist and
 // restore a stream mid-sequence (core/fuzz/checkpoint.h).
 struct RngState {
@@ -43,7 +48,11 @@ class Rng {
 
   // Index into a discrete distribution proportional to `weights`.
   // All-zero or empty weights fall back to uniform choice (or 0 if empty).
+  // Negative weights count as zero.
   size_t weighted(const std::vector<double>& weights);
+  // The same draw for a caller that keeps `total` == weight_total(weights)
+  // cached next to its weights: skips the summing scan, nothing else.
+  size_t weighted(const std::vector<double>& weights, double total);
 
   // Fisher-Yates shuffle of an index permutation [0, n).
   std::vector<size_t> permutation(size_t n);

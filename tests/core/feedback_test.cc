@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <iterator>
+
 namespace df::core {
 namespace {
 
@@ -101,6 +105,112 @@ TEST(Corpus, TracksPickCount) {
   c.pick(rng);
   EXPECT_EQ(c.total_picks(), 2u);
   EXPECT_EQ(c.at(0).hits, 2u);
+}
+
+// The selection rule written out as it was before energies were cached:
+// every pick rebuilds the whole energy vector, in insertion order, from each
+// seed's new_features and hits.
+struct ReferenceCorpus {
+  struct Entry {
+    uint64_t hash = 0;
+    size_t new_features = 0;
+    uint64_t hits = 0;
+  };
+  std::vector<Entry> seeds;
+
+  uint64_t pick(util::Rng& rng) {
+    std::vector<double> w;
+    for (const Entry& e : seeds) {
+      w.push_back(std::log2(2.0 + static_cast<double>(e.new_features)) /
+                  (1.0 + 0.1 * static_cast<double>(e.hits)));
+    }
+    Entry& chosen = seeds[rng.weighted(w)];
+    ++chosen.hits;
+    return chosen.hash;
+  }
+};
+
+bool same_state(const util::Rng& a, const util::Rng& b) {
+  const util::RngState sa = a.state();
+  const util::RngState sb = b.state();
+  return std::equal(std::begin(sa.s), std::end(sa.s), std::begin(sb.s));
+}
+
+TEST(Corpus, CachedEnergyPickMatchesRecomputedReference) {
+  dsl::CallTable table;
+  std::vector<const dsl::CallDesc*> descs;
+  for (int i = 0; i < 24; ++i) {
+    dsl::CallDesc d;
+    d.name = "ref" + std::to_string(i);
+    descs.push_back(table.add(std::move(d)));
+  }
+  // Programs of 1-3 calls: short ones are often statically subsumed by
+  // longer ones, so the distill below has something to drop.
+  util::Rng gen(7);
+  auto random_seed = [&] {
+    Seed s;
+    for (uint64_t k = 0, n = 1 + gen.below(3); k < n; ++k) {
+      dsl::Call c;
+      c.desc = descs[gen.below(descs.size())];
+      s.prog.calls.push_back(c);
+    }
+    s.new_features = gen.below(64);
+    return s;
+  };
+
+  Corpus corpus;
+  ReferenceCorpus ref;
+  auto add_both = [&](Seed s) {
+    const ReferenceCorpus::Entry e{dsl::program_hash(s.prog), s.new_features,
+                                   s.hits};
+    if (corpus.add(std::move(s))) ref.seeds.push_back(e);
+  };
+  util::Rng cached_rng(11), ref_rng(11);
+  auto pick_both = [&](Corpus& c, int n) -> ::testing::AssertionResult {
+    for (int i = 0; i < n; ++i) {
+      const uint64_t got = c.pick(cached_rng).hash;
+      const uint64_t want = ref.pick(ref_rng);
+      if (got != want) {
+        return ::testing::AssertionFailure()
+               << "pick " << i << " chose " << got << ", reference " << want;
+      }
+    }
+    if (!same_state(cached_rng, ref_rng)) {
+      return ::testing::AssertionFailure() << "rng streams diverged";
+    }
+    return ::testing::AssertionSuccess();
+  };
+
+  // 1. Picks interleaved with adds.
+  for (int round = 0; round < 200; ++round) {
+    add_both(random_seed());
+    ASSERT_TRUE(pick_both(corpus, 60));
+  }
+  ASSERT_EQ(corpus.size(), ref.seeds.size());
+
+  // 2. A non-dry static-only distill compacts the corpus; picks and adds
+  // continue on the survivors.
+  const DistillStats stats = corpus.distill(Corpus::FootprintFn{});
+  ASSERT_LT(stats.after, stats.before);
+  std::erase_if(ref.seeds, [&](const ReferenceCorpus::Entry& e) {
+    return corpus.find_by_hash(e.hash) == nullptr;
+  });
+  ASSERT_EQ(corpus.size(), ref.seeds.size());
+  for (int round = 0; round < 100; ++round) {
+    add_both(random_seed());
+    ASSERT_TRUE(pick_both(corpus, 100));
+  }
+
+  // 3. A corpus rebuilt the way checkpoint restore does it: every seed
+  // re-added in insertion order with its restored hit count.
+  Corpus restored;
+  for (size_t i = 0; i < corpus.size(); ++i) {
+    ASSERT_TRUE(restored.add(corpus.at(i)));
+  }
+  restored.restore_picks(corpus.total_picks());
+  ASSERT_EQ(restored.size(), ref.seeds.size());
+  ASSERT_TRUE(pick_both(restored, 10000));
+  EXPECT_EQ(restored.total_picks(), 200u * 60 + 100u * 100 + 10000);
 }
 
 }  // namespace

@@ -96,6 +96,29 @@ TEST_F(RelationTest, PickBaseFollowsVertexWeights) {
   EXPECT_GT(heavy, light * 2);
 }
 
+// pick_base draws against a cached weight total; it must stay the draw of
+// a fresh weights vector through appends and re-weights of a vertex.
+TEST_F(RelationTest, PickBaseMatchesDrawOverCurrentWeights) {
+  auto expect_same_draws = [&] {
+    std::vector<double> w;
+    for (const auto* d : descs_) w.push_back(graph_.vertex_weight(d));
+    util::Rng rng(17), ref(17);
+    for (int i = 0; i < 500; ++i) {
+      ASSERT_EQ(graph_.pick_base(rng), descs_[ref.weighted(w)]);
+    }
+  };
+  expect_same_draws();
+  const uint64_t epoch = graph_.vertex_epoch();
+  graph_.add_vertex(descs_[2], 3.0);  // re-weight an existing vertex
+  EXPECT_GT(graph_.vertex_epoch(), epoch);
+  expect_same_draws();
+  dsl::CallDesc d;
+  d.name = "late";
+  descs_.push_back(table_.add(std::move(d)));
+  graph_.add_vertex(descs_.back(), 0.7);  // append
+  expect_same_draws();
+}
+
 TEST_F(RelationTest, PickBaseEmptyGraph) {
   RelationGraph empty;
   EXPECT_EQ(empty.pick_base(rng_), nullptr);

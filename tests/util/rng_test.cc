@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <set>
 
 namespace df::util {
@@ -105,6 +106,47 @@ TEST(Rng, WeightedIgnoresNegative) {
   Rng r(29);
   std::vector<double> w = {-5.0, 1.0};
   for (int i = 0; i < 500; ++i) EXPECT_EQ(r.weighted(w), 1u);
+}
+
+bool same_state(const Rng& a, const Rng& b) {
+  const RngState sa = a.state();
+  const RngState sb = b.state();
+  return std::equal(std::begin(sa.s), std::end(sa.s), std::begin(sb.s));
+}
+
+// A caller that caches weight_total() must draw exactly what the summing
+// overload draws: same index, same stream position afterwards.
+TEST(Rng, WeightedWithTotalMatchesWeighted) {
+  Rng gen(47);
+  for (int trial = 0; trial < 3000; ++trial) {
+    std::vector<double> w(gen.below(24));
+    for (double& x : w) {
+      const uint64_t kind = gen.below(4);
+      if (kind == 0) {
+        x = 0.0;
+      } else if (kind == 1) {
+        x = -gen.uniform() * 8.0;
+      } else if (kind == 2) {
+        x = gen.uniform() * 1e-3;
+      } else {
+        x = gen.uniform() * 16.0;
+      }
+    }
+    const uint64_t seed = gen.next();
+    Rng summed(seed), cached(seed);
+    const double total = weight_total(w);
+    for (int draw = 0; draw < 4; ++draw) {
+      ASSERT_EQ(summed.weighted(w), cached.weighted(w, total))
+          << "trial " << trial << " draw " << draw;
+    }
+    ASSERT_TRUE(same_state(summed, cached)) << "trial " << trial;
+  }
+}
+
+TEST(Rng, WeightTotalSkipsNonPositive) {
+  EXPECT_EQ(weight_total({}), 0.0);
+  EXPECT_EQ(weight_total({-3.0, 0.0, -1.0}), 0.0);
+  EXPECT_EQ(weight_total({1.5, -2.0, 0.0, 2.5}), 4.0);
 }
 
 TEST(Rng, PermutationIsPermutation) {
