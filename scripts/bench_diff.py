@@ -6,9 +6,12 @@ The determinism contract (scripts/check_bench_json.py) splits every bench
 document into two halves:
 
   content  - everything outside "timing"/"secs"/"wall_seconds"/"ts"/"dur"
-             keys and *_ns/*_per_sec suffixes. Identically-seeded runs must
-             agree byte-for-byte here; any difference is reported as
-             CONTENT drift (and fails the diff unless --allow-content).
+             keys and *_ns/*_per_sec suffixes, less the toolchain fields
+             of the "build" block (compiler, compiler_version, build_type,
+             flags: how the binary was built, not what the campaign did;
+             build.schema stays in). Identically-seeded runs must agree
+             byte-for-byte here; any difference is reported as CONTENT
+             drift (and fails the diff unless --allow-content).
 
   timing   - wall-dependent leaves. These are compared direction-aware:
              *_per_sec, *_per_hour, *speedup* and *uplift* leaves are
@@ -112,6 +115,22 @@ def strip_timing(doc):
     return doc
 
 
+# Fields of the top-level "build" block that describe the toolchain, not
+# the campaign: the committed seeds say Release while a default configure
+# builds RelWithDebInfo, and a compiler upgrade changes no content.
+TOOLCHAIN_KEYS = ("compiler", "compiler_version", "build_type", "flags")
+
+
+def content_of(doc):
+    """The content half of a bench document: timing stripped and the
+    toolchain fields of its build block dropped."""
+    out = strip_timing(doc)
+    if isinstance(out, dict) and isinstance(out.get("build"), dict):
+        out["build"] = {k: v for k, v in out["build"].items()
+                        if k not in TOOLCHAIN_KEYS}
+    return out
+
+
 def leaf_name(path):
     """Last key segment of a dotted path, with array indices dropped."""
     last = path.rsplit(".", 1)[-1]
@@ -132,10 +151,10 @@ class Report:
 def diff_docs(base, cand, threshold_pct, report, label=""):
     tag = f"{label}: " if label else ""
 
-    if strip_timing(base) != strip_timing(cand):
+    if content_of(base) != content_of(cand):
         report.content.append(
-            f"{tag}content differs after stripping timing fields "
-            f"(identically-seeded runs must agree)")
+            f"{tag}content differs after stripping timing and toolchain "
+            f"fields (identically-seeded runs must agree)")
 
     base_leaves = numeric_leaves(base)
     cand_leaves = numeric_leaves(cand)
@@ -390,6 +409,25 @@ def self_test():
     diff_docs(a, b, 5.0, r)
     case("snapshot uplift drop beyond threshold regresses",
          any("uplift" in p for p, *_ in r.regressions) and not r.content)
+
+    build = {"compiler": "gcc", "compiler_version": "12.2.0",
+             "build_type": "Release", "sanitizer": "", "flags": "",
+             "cxx_standard": 202002, "assertions": False,
+             "schema": {"checkpoint": 4, "analytics": 2}}
+    r = Report()
+    a, b = _doc(), _doc()
+    a["build"] = build
+    b["build"] = dict(build, compiler="clang", compiler_version="16.0.6",
+                      build_type="RelWithDebInfo", flags="-O2 -g")
+    diff_docs(a, b, 5.0, r)
+    case("toolchain-only build difference is not content drift",
+         r.clean(allow_content=False) and not r.content)
+
+    r = Report()
+    b["build"] = dict(build, schema={"checkpoint": 5, "analytics": 2})
+    diff_docs(a, b, 5.0, r)
+    case("build.schema difference is content drift",
+         len(r.content) == 1 and not r.clean(allow_content=False))
 
     print(f"self-test: {'PASS' if failures == 0 else 'FAIL'}")
     return failures == 0

@@ -1,9 +1,9 @@
 #include "analysis/semantic.h"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "analysis/dataflow.h"
+#include "util/hex.h"
 
 namespace df::analysis {
 
@@ -63,12 +63,6 @@ uint64_t flags_mask(const ParamDesc& p) {
 bool is_scalar_kind(ArgKind k) {
   return k == ArgKind::kU8 || k == ArgKind::kU16 || k == ArgKind::kU32 ||
          k == ArgKind::kU64;
-}
-
-std::string hex(uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "0x%llx", static_cast<unsigned long long>(v));
-  return buf;
 }
 
 // Producer indices destroyed before statement `upto` (exclusive), using
@@ -216,19 +210,19 @@ LintReport ProgramLint::analyze(const Program& prog) const {
         const uint64_t mask = kind_width_mask(p.kind);
         if ((v.scalar & ~mask) != 0) {
           add(Pass::kTypeWidth, Severity::kError, i, a,
-              d->name + "." + p.name + ": value " + hex(v.scalar) +
+              d->name + "." + p.name + ": value " + util::hex_u64(v.scalar) +
                   " exceeds " + kind_label(p.kind) + " width");
         } else if (v.scalar < p.min || v.scalar > p.max) {
           add(Pass::kTypeWidth, Severity::kError, i, a,
-              d->name + "." + p.name + ": value " + hex(v.scalar) +
-                  " outside declared range [" + hex(p.min) + ", " +
-                  hex(p.max) + "]");
+              d->name + "." + p.name + ": value " + util::hex_u64(v.scalar) +
+                  " outside declared range [" + util::hex_u64(p.min) + ", " +
+                  util::hex_u64(p.max) + "]");
         }
       } else if (p.kind == ArgKind::kEnum) {
         if (std::find(p.choices.begin(), p.choices.end(), v.scalar) ==
             p.choices.end()) {
           add(Pass::kTypeWidth, Severity::kError, i, a,
-              d->name + "." + p.name + ": value " + hex(v.scalar) +
+              d->name + "." + p.name + ": value " + util::hex_u64(v.scalar) +
                   " is not one of the " + std::to_string(p.choices.size()) +
                   " declared enum choices");
         }
@@ -236,13 +230,14 @@ LintReport ProgramLint::analyze(const Program& prog) const {
         const uint64_t mask = flags_mask(p);
         if ((v.scalar & ~mask) != 0) {
           add(Pass::kTypeWidth, Severity::kError, i, a,
-              d->name + "." + p.name + ": value " + hex(v.scalar) +
-                  " sets bits outside the declared flag mask " + hex(mask));
+              d->name + "." + p.name + ": value " + util::hex_u64(v.scalar) +
+                  " sets bits outside the declared flag mask " +
+                  util::hex_u64(mask));
         }
       } else if (p.kind == ArgKind::kBool) {
         if (v.scalar > 1) {
           add(Pass::kTypeWidth, Severity::kError, i, a,
-              d->name + "." + p.name + ": value " + hex(v.scalar) +
+              d->name + "." + p.name + ": value " + util::hex_u64(v.scalar) +
                   " is not a bool");
         }
       } else if (p.kind == ArgKind::kString || p.kind == ArgKind::kBlob) {

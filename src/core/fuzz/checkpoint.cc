@@ -1,7 +1,6 @@
 #include "core/fuzz/checkpoint.h"
 
 #include <bit>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -9,11 +8,12 @@
 #include "core/fuzz/daemon.h"
 #include "device/snapshot.h"
 #include "dsl/fmt.h"
-#include "kernel/snapshot.h"
 #include "dsl/parse.h"
+#include "kernel/snapshot.h"
 #include "obs/analytics.h"
 #include "obs/json.h"
 #include "obs/json_parse.h"
+#include "util/hex.h"
 #include "util/log.h"
 
 namespace df::core {
@@ -23,107 +23,23 @@ namespace {
 // 64-bit values (RNG words, cursors, double bit patterns) are stored as
 // "0x..." strings: JsonWriter prints doubles with %.6g, which does not
 // round-trip, and u64 cursors can exceed the 2^53 double-exact range.
-std::string hex64(uint64_t v) {
-  char buf[19];
-  std::snprintf(buf, sizeof(buf), "0x%llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
+using util::hex_u64;
 
-std::string bits_of(double d) { return hex64(std::bit_cast<uint64_t>(d)); }
+std::string bits_of(double d) { return hex_u64(std::bit_cast<uint64_t>(d)); }
 
 // Snapshot byte images travel as lowercase hex strings: JSON has no byte
-// type, and base64 would need a decoder json_parse.h does not have.
+// type, and base64 would need a decoder obs/json_parse.h does not have.
 std::string hex_bytes(const std::vector<uint8_t>& bytes) {
-  static const char* digits = "0123456789abcdef";
   std::string out;
-  out.reserve(bytes.size() * 2);
-  for (uint8_t b : bytes) {
-    out.push_back(digits[b >> 4]);
-    out.push_back(digits[b & 0xf]);
-  }
+  util::append_hex_bytes(out, bytes.data(), bytes.size());
   return out;
-}
-
-bool bytes_from_hex(const std::string& hex, std::vector<uint8_t>* out) {
-  if (hex.size() % 2 != 0) return false;
-  const auto nib = [](char c) -> int {
-    if (c >= '0' && c <= '9') return c - '0';
-    if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-    return -1;
-  };
-  out->clear();
-  out->reserve(hex.size() / 2);
-  for (size_t i = 0; i < hex.size(); i += 2) {
-    const int hi = nib(hex[i]);
-    const int lo = nib(hex[i + 1]);
-    if (hi < 0 || lo < 0) return false;
-    out->push_back(static_cast<uint8_t>(hi << 4 | lo));
-  }
-  return true;
 }
 
 void write_rng(obs::JsonWriter& w, std::string_view key,
                const util::RngState& st) {
   w.key(key).begin_array();
-  for (uint64_t word : st.s) w.value(hex64(word));
+  for (uint64_t word : st.s) w.value(hex_u64(word));
   w.end_array();
-}
-
-// --- restore-side accessors: every miss is a hard, described error --------
-
-bool fail(std::string* error, const std::string& what) {
-  if (error != nullptr) *error = "checkpoint: " + what;
-  return false;
-}
-
-const obs::JsonValue* member(const obs::JsonValue& obj, const char* key) {
-  return obj.is_object() ? obj.find(key) : nullptr;
-}
-
-bool get_u64(const obs::JsonValue& obj, const char* key, uint64_t* out,
-             std::string* error, const char* ctx) {
-  const obs::JsonValue* v = member(obj, key);
-  if (v == nullptr || (!v->is_number() && !v->is_string())) {
-    return fail(error, std::string(ctx) + ": missing field '" + key + "'");
-  }
-  *out = v->as_u64();
-  return true;
-}
-
-bool get_str(const obs::JsonValue& obj, const char* key, std::string* out,
-             std::string* error, const char* ctx) {
-  const obs::JsonValue* v = member(obj, key);
-  if (v == nullptr || !v->is_string()) {
-    return fail(error, std::string(ctx) + ": missing field '" + key + "'");
-  }
-  *out = v->scalar;
-  return true;
-}
-
-bool get_rng(const obs::JsonValue& obj, const char* key, util::RngState* out,
-             std::string* error, const char* ctx) {
-  const obs::JsonValue* v = member(obj, key);
-  if (v == nullptr || !v->is_array() || v->items.size() != 4) {
-    return fail(error,
-                std::string(ctx) + ": field '" + key + "' is not rng[4]");
-  }
-  for (size_t i = 0; i < 4; ++i) out->s[i] = v->items[i].as_u64();
-  return true;
-}
-
-bool get_u64_array(const obs::JsonValue& obj, const char* key,
-                   std::vector<uint64_t>* out, std::string* error,
-                   const char* ctx) {
-  const obs::JsonValue* v = member(obj, key);
-  if (v == nullptr || !v->is_array()) {
-    return fail(error,
-                std::string(ctx) + ": field '" + key + "' is not an array");
-  }
-  out->clear();
-  out->reserve(v->items.size());
-  for (const auto& item : v->items) out->push_back(item.as_u64());
-  return true;
 }
 
 }  // namespace
@@ -146,9 +62,9 @@ void CampaignCheckpoint::serialize_device(obs::JsonWriter& w,
   write_rng(w, "rng", kc.rng);
   w.field("reboots", kc.reboot_count);
   w.field("syscalls", kc.syscall_count);
-  w.field("next_map", hex64(kc.next_map));
+  w.field("next_map", hex_u64(kc.next_map));
   w.field("next_task", static_cast<uint64_t>(kc.next_task));
-  w.field("heap_next", hex64(kc.heap_next));
+  w.field("heap_next", hex_u64(kc.heap_next));
   w.end_object();
 
   w.key("broker").begin_object();
@@ -175,7 +91,7 @@ void CampaignCheckpoint::serialize_device(obs::JsonWriter& w,
   }
 
   w.key("features").begin_array();
-  for (uint64_t f : eng.features_.values()) w.value(hex64(f));
+  for (uint64_t f : eng.features_.values()) w.value(hex_u64(f));
   w.end_array();
 
   w.key("corpus").begin_object();
@@ -188,8 +104,8 @@ void CampaignCheckpoint::serialize_device(obs::JsonWriter& w,
     w.field("new_features", static_cast<uint64_t>(s.new_features));
     w.field("exec_index", s.exec_index);
     w.field("hits", s.hits);
-    w.field("origin", std::string(obs::origin_name(s.origin)));
-    w.field("parent", hex64(s.parent_hash));
+    w.field("origin", obs::origin_name(s.origin));
+    w.field("parent", hex_u64(s.parent_hash));
     w.end_object();
   }
   w.end_array();
@@ -220,8 +136,8 @@ void CampaignCheckpoint::serialize_device(obs::JsonWriter& w,
     w.key("lineage").begin_array();
     for (const obs::LineageLink& l : b.lineage) {
       w.begin_object();
-      w.field("hash", hex64(l.hash));
-      w.field("origin", std::string(obs::origin_name(l.origin)));
+      w.field("hash", hex_u64(l.hash));
+      w.field("origin", obs::origin_name(l.origin));
       w.field("exec", l.exec_index);
       w.field("depth", l.depth);
       w.end_object();
@@ -236,8 +152,8 @@ void CampaignCheckpoint::serialize_device(obs::JsonWriter& w,
   for (const Engine::QueuedProgram& q : eng.plan_queue_) {
     w.begin_object();
     w.field("prog", dsl::format_program(q.prog));
-    w.field("origin", std::string(obs::origin_name(q.origin)));
-    w.field("parent", hex64(q.parent_hash));
+    w.field("origin", obs::origin_name(q.origin));
+    w.field("parent", hex_u64(q.parent_hash));
     w.field("has_target", q.has_target);
     w.field("target_driver", static_cast<uint64_t>(q.target_driver));
     w.field("target_state", static_cast<uint64_t>(q.target_state));
@@ -348,207 +264,290 @@ void CampaignCheckpoint::serialize_device(obs::JsonWriter& w,
   w.end_object();
 }
 
+// --- restore side ------------------------------------------------------------
+//
+// restore() reads the document once, in the order serialize() writes it:
+// every key must come where the writer puts it, and every count is decoded
+// strictly. A reader failure carries its offset and field; read_fail adds
+// where in the document it happened, unless a semantic check already
+// described the failure.
+
 namespace {
 
-bool parse_program_field(const obs::JsonValue& obj, const char* key,
-                         Engine& eng, dsl::Program* out, std::string* error,
-                         const char* ctx) {
-  std::string text;
-  if (!get_str(obj, key, &text, error, ctx)) return false;
-  auto prog = dsl::parse_program(text, eng.calls());
-  if (!prog.has_value()) {
-    return fail(error, std::string(ctx) + ": unparsable program");
+using obs::JsonReader;
+
+bool fail(std::string* error, const std::string& what) {
+  if (error != nullptr) *error = "checkpoint: " + what;
+  return false;
+}
+
+bool read_fail(const JsonReader& r, std::string* error,
+               const std::string& ctx) {
+  if (error->empty()) fail(error, ctx + ": " + r.error());
+  return false;
+}
+
+bool u64_field(JsonReader& r, std::string_view key, uint64_t* out) {
+  return r.expect_key(key) && r.read_u64(out);
+}
+
+bool hex_field(JsonReader& r, std::string_view key, uint64_t* out) {
+  return r.expect_key(key) && r.read_hex_u64(out);
+}
+
+bool bool_field(JsonReader& r, std::string_view key, bool* out) {
+  return r.expect_key(key) && r.read_bool(out);
+}
+
+// The view stays valid until the reader's next string.
+bool str_field(JsonReader& r, std::string_view key, std::string_view* out) {
+  return r.expect_key(key) && r.read_string(out);
+}
+
+bool str_field(JsonReader& r, std::string_view key, std::string* out) {
+  return r.expect_key(key) && r.read_string(out);
+}
+
+bool rng_field(JsonReader& r, std::string_view key, util::RngState* out) {
+  if (!r.expect_key(key) || !r.begin_array()) return false;
+  for (uint64_t& word : out->s) {
+    if (!r.read_hex_u64(&word)) return false;
   }
+  return r.end_array();
+}
+
+// A whole array of decimal (or, with `hex`, "0x...") u64s.
+bool u64_array(JsonReader& r, std::vector<uint64_t>* out, bool hex) {
+  if (!r.begin_array()) return false;
+  while (r.more()) {
+    uint64_t v = 0;
+    if (!(hex ? r.read_hex_u64(&v) : r.read_u64(&v))) return false;
+    out->push_back(v);
+  }
+  return r.end_array();
+}
+
+// A fixed-length array of decimal u64s, one per field.
+bool u64_row(JsonReader& r, std::initializer_list<uint64_t*> fields) {
+  if (!r.begin_array()) return false;
+  for (uint64_t* f : fields) {
+    if (!r.read_u64(f)) return false;
+  }
+  return r.end_array();
+}
+
+bool origin_field(JsonReader& r, std::string_view key, const char* what,
+                  obs::ProgramOrigin* out, std::string* error,
+                  const std::string& ctx) {
+  std::string_view name;
+  if (!str_field(r, key, &name)) return false;
+  const auto o = obs::origin_from_name(name);
+  if (!o.has_value()) {
+    return fail(error, ctx + ": unknown " + what + " origin '" +
+                           std::string(name) + "'");
+  }
+  *out = *o;
+  return true;
+}
+
+// A program field, parsed straight from the reader's view of the text.
+bool program_field(JsonReader& r, std::string_view key,
+                   const dsl::CallTable& calls, dsl::Program* out,
+                   std::string* error, const std::string& ctx) {
+  std::string_view text;
+  if (!str_field(r, key, &text)) return false;
+  auto prog = dsl::parse_program(text, calls);
+  if (!prog.has_value()) return fail(error, ctx + ": unparsable program");
   *out = std::move(*prog);
   return true;
 }
 
 }  // namespace
 
-bool CampaignCheckpoint::restore_device(const obs::JsonValue& d,
-                                        const std::string& id, Engine& eng,
+bool CampaignCheckpoint::restore_device(obs::JsonReader& r, Engine& eng,
+                                        const std::string& ctx,
                                         std::string* error) {
-  const std::string ctx = "device " + id;
   device::Device& dev = eng.dev_;
   kernel::Kernel& k = dev.kernel();
+  const auto bad = [&] { return read_fail(r, error, ctx); };
 
   // Mirror the save-side sequence: a fully set-up engine on a freshly
   // barrier-rebooted device, then overwrite every cursor/stream.
   eng.setup();
   dev.reboot();
 
-  if (!get_u64(d, "exec_count", &eng.exec_count_, error, ctx.c_str())) {
-    return false;
-  }
   util::RngState rng;
-  if (!get_rng(d, "rng", &rng, error, ctx.c_str())) return false;
+  if (!u64_field(r, "exec_count", &eng.exec_count_) ||
+      !rng_field(r, "rng", &rng)) {
+    return bad();
+  }
   eng.rng_.set_state(rng);
 
-  const obs::JsonValue* kv = member(d, "kernel");
-  if (kv == nullptr) return fail(error, ctx + ": missing 'kernel'");
   kernel::Kernel::Cursors kc;
   uint64_t next_task = 0;
-  if (!get_rng(*kv, "rng", &kc.rng, error, ctx.c_str()) ||
-      !get_u64(*kv, "reboots", &kc.reboot_count, error, ctx.c_str()) ||
-      !get_u64(*kv, "syscalls", &kc.syscall_count, error, ctx.c_str()) ||
-      !get_u64(*kv, "next_map", &kc.next_map, error, ctx.c_str()) ||
-      !get_u64(*kv, "next_task", &next_task, error, ctx.c_str()) ||
-      !get_u64(*kv, "heap_next", &kc.heap_next, error, ctx.c_str())) {
-    return false;
+  if (!r.expect_key("kernel") || !r.begin_object() ||
+      !rng_field(r, "rng", &kc.rng) ||
+      !u64_field(r, "reboots", &kc.reboot_count) ||
+      !u64_field(r, "syscalls", &kc.syscall_count) ||
+      !hex_field(r, "next_map", &kc.next_map) ||
+      !u64_field(r, "next_task", &next_task) ||
+      !hex_field(r, "heap_next", &kc.heap_next) || !r.end_object()) {
+    return bad();
   }
   kc.next_task = static_cast<uint32_t>(next_task);
   k.restore_cursors(kc);
 
-  const obs::JsonValue* bv = member(d, "broker");
-  if (bv == nullptr) return fail(error, ctx + ": missing 'broker'");
   uint64_t next_fd = 0;
-  if (!get_u64(*bv, "executions", &eng.broker_->executions_, error,
-               ctx.c_str()) ||
-      !get_u64(*bv, "next_fd", &next_fd, error, ctx.c_str())) {
-    return false;
+  if (!r.expect_key("broker") || !r.begin_object() ||
+      !u64_field(r, "executions", &eng.broker_->executions_) ||
+      !u64_field(r, "next_fd", &next_fd) || !r.end_object()) {
+    return bad();
   }
   if (kernel::Task* nt = k.task(eng.broker_->native_task_)) {
     nt->fds.set_next_fd(static_cast<int32_t>(next_fd));
   }
 
-  const obs::JsonValue* fv = member(d, "fault");
-  if ((fv != nullptr) != (eng.fault_ != nullptr)) {
+  if (r.optional_key("fault") != (eng.fault_ != nullptr)) {
+    if (!r.ok()) return bad();
     return fail(error, ctx + ": fault configuration mismatch");
   }
-  if (fv != nullptr) {
+  if (eng.fault_ != nullptr) {
     util::RngState frng;
     uint64_t decisions = 0;
     FaultTotals& t = eng.fault_->totals();
-    if (!get_rng(*fv, "rng", &frng, error, ctx.c_str()) ||
-        !get_u64(*fv, "decisions", &decisions, error, ctx.c_str()) ||
-        !get_u64(*fv, "injected", &t.injected, error, ctx.c_str()) ||
-        !get_u64(*fv, "hangs", &t.hangs, error, ctx.c_str()) ||
-        !get_u64(*fv, "transport_errors", &t.transport_errors, error,
-                 ctx.c_str()) ||
-        !get_u64(*fv, "reboots", &t.reboots, error, ctx.c_str()) ||
-        !get_u64(*fv, "kasan_reboots", &t.kasan_reboots, error,
-                 ctx.c_str()) ||
-        !get_u64(*fv, "retries", &t.retries, error, ctx.c_str()) ||
-        !get_u64(*fv, "lost_execs", &t.lost_execs, error, ctx.c_str()) ||
-        !get_u64(*fv, "recovery_virtual_us", &t.recovery_virtual_us, error,
-                 ctx.c_str())) {
-      return false;
+    if (!r.begin_object() || !rng_field(r, "rng", &frng) ||
+        !u64_field(r, "decisions", &decisions) ||
+        !u64_field(r, "injected", &t.injected) ||
+        !u64_field(r, "hangs", &t.hangs) ||
+        !u64_field(r, "transport_errors", &t.transport_errors) ||
+        !u64_field(r, "reboots", &t.reboots) ||
+        !u64_field(r, "kasan_reboots", &t.kasan_reboots) ||
+        !u64_field(r, "retries", &t.retries) ||
+        !u64_field(r, "lost_execs", &t.lost_execs) ||
+        !u64_field(r, "recovery_virtual_us", &t.recovery_virtual_us) ||
+        !r.end_object()) {
+      return bad();
     }
     eng.fault_->plan().restore(frng, decisions);
   }
 
   std::vector<uint64_t> features;
-  if (!get_u64_array(d, "features", &features, error, ctx.c_str())) {
-    return false;
+  if (!r.expect_key("features") || !u64_array(r, &features, /*hex=*/true)) {
+    return bad();
   }
   eng.features_.add_new(features);
 
-  const obs::JsonValue* cv = member(d, "corpus");
-  if (cv == nullptr) return fail(error, ctx + ": missing 'corpus'");
   uint64_t picks = 0;
-  if (!get_u64(*cv, "picks", &picks, error, ctx.c_str())) return false;
-  const obs::JsonValue* seeds = member(*cv, "seeds");
-  if (seeds == nullptr || !seeds->is_array()) {
-    return fail(error, ctx + ": missing 'corpus.seeds'");
+  if (!r.expect_key("corpus") || !r.begin_object() ||
+      !u64_field(r, "picks", &picks) || !r.expect_key("seeds") ||
+      !r.begin_array()) {
+    return bad();
   }
-  for (const auto& sv : seeds->items) {
+  while (r.more()) {
     Seed seed;
     uint64_t nf = 0;
-    std::string origin;
-    if (!parse_program_field(sv, "prog", eng, &seed.prog, error,
-                             ctx.c_str()) ||
-        !get_u64(sv, "new_features", &nf, error, ctx.c_str()) ||
-        !get_u64(sv, "exec_index", &seed.exec_index, error, ctx.c_str()) ||
-        !get_u64(sv, "hits", &seed.hits, error, ctx.c_str()) ||
-        !get_str(sv, "origin", &origin, error, ctx.c_str()) ||
-        !get_u64(sv, "parent", &seed.parent_hash, error, ctx.c_str())) {
-      return false;
+    if (!r.begin_object() ||
+        !program_field(r, "prog", eng.calls(), &seed.prog, error, ctx) ||
+        !u64_field(r, "new_features", &nf) ||
+        !u64_field(r, "exec_index", &seed.exec_index) ||
+        !u64_field(r, "hits", &seed.hits) ||
+        !origin_field(r, "origin", "seed", &seed.origin, error, ctx) ||
+        !hex_field(r, "parent", &seed.parent_hash) || !r.end_object()) {
+      return bad();
     }
-    const auto o = obs::origin_from_name(origin);
-    if (!o.has_value()) {
-      return fail(error, ctx + ": unknown seed origin '" + origin + "'");
-    }
-    seed.origin = *o;
     seed.new_features = static_cast<size_t>(nf);
     // Corpus::add recomputes hash and generation depth; seeds restore in
     // insertion order, so every parent is present before its children and
     // the derived depths match the saved campaign exactly.
     eng.corpus_.add(std::move(seed));
   }
+  if (!r.end_array() || !r.end_object()) return bad();
   eng.corpus_.restore_picks(picks);
 
-  const obs::JsonValue* rv = member(d, "relations");
-  if (rv == nullptr || !rv->is_array()) {
-    return fail(error, ctx + ": missing 'relations'");
-  }
-  for (const auto& ev : rv->items) {
-    if (!ev.is_array() || ev.items.size() != 3) {
-      return fail(error, ctx + ": malformed relation edge");
+  if (!r.expect_key("relations") || !r.begin_array()) return bad();
+  while (r.more()) {
+    uint64_t from = 0;
+    uint64_t to = 0;
+    uint64_t weight = 0;
+    if (!r.begin_array() || !r.read_u64(&from) || !r.read_u64(&to) ||
+        !r.read_hex_u64(&weight) || !r.end_array()) {
+      return bad();
     }
-    eng.rel_.restore_edge(
-        static_cast<size_t>(ev.items[0].as_u64()),
-        static_cast<size_t>(ev.items[1].as_u64()),
-        std::bit_cast<double>(ev.items[2].as_u64()));
+    eng.rel_.restore_edge(static_cast<size_t>(from), static_cast<size_t>(to),
+                          std::bit_cast<double>(weight));
   }
+  if (!r.end_array()) return bad();
 
-  const obs::JsonValue* bugs = member(d, "bugs");
-  if (bugs == nullptr) return fail(error, ctx + ": missing 'bugs'");
   uint64_t total_reports = 0;
-  if (!get_u64(*bugs, "total_reports", &total_reports, error, ctx.c_str())) {
-    return false;
+  if (!r.expect_key("bugs") || !r.begin_object() ||
+      !u64_field(r, "total_reports", &total_reports) ||
+      !r.expect_key("records") || !r.begin_array()) {
+    return bad();
   }
-  const obs::JsonValue* records = member(*bugs, "records");
-  if (records == nullptr || !records->is_array()) {
-    return fail(error, ctx + ": missing 'bugs.records'");
-  }
-  for (const auto& bv2 : records->items) {
+  while (r.more()) {
     BugRecord b;
-    if (!get_str(bv2, "title", &b.title, error, ctx.c_str()) ||
-        !get_str(bv2, "component", &b.component, error, ctx.c_str()) ||
-        !get_str(bv2, "origin", &b.origin, error, ctx.c_str()) ||
-        !get_str(bv2, "bug_class", &b.bug_class, error, ctx.c_str()) ||
-        !get_u64(bv2, "first_exec", &b.first_exec, error, ctx.c_str()) ||
-        !get_u64(bv2, "dup_count", &b.dup_count, error, ctx.c_str()) ||
-        !get_str(bv2, "repro", &b.repro_text, error, ctx.c_str())) {
-      return false;
+    if (!r.begin_object() || !str_field(r, "title", &b.title) ||
+        !str_field(r, "component", &b.component) ||
+        !str_field(r, "origin", &b.origin) ||
+        !str_field(r, "bug_class", &b.bug_class) ||
+        !u64_field(r, "first_exec", &b.first_exec) ||
+        !u64_field(r, "dup_count", &b.dup_count) ||
+        !str_field(r, "repro", &b.repro_text)) {
+      return bad();
     }
     auto prog = dsl::parse_program(b.repro_text, eng.calls());
     if (!prog.has_value()) {
       return fail(error, ctx + ": unparsable bug reproducer");
     }
     b.repro = std::move(*prog);
-    const obs::JsonValue* lv = member(bv2, "lineage");
-    if (lv == nullptr || !lv->is_array()) {
-      return fail(error, ctx + ": bug record without 'lineage'");
-    }
-    for (const auto& linkv : lv->items) {
+    if (!r.expect_key("lineage") || !r.begin_array()) return bad();
+    while (r.more()) {
       obs::LineageLink l;
-      std::string oname;
-      if (!get_u64(linkv, "hash", &l.hash, error, ctx.c_str()) ||
-          !get_str(linkv, "origin", &oname, error, ctx.c_str()) ||
-          !get_u64(linkv, "exec", &l.exec_index, error, ctx.c_str()) ||
-          !get_u64(linkv, "depth", &l.depth, error, ctx.c_str())) {
-        return false;
+      if (!r.begin_object() || !hex_field(r, "hash", &l.hash) ||
+          !origin_field(r, "origin", "lineage", &l.origin, error, ctx) ||
+          !u64_field(r, "exec", &l.exec_index) ||
+          !u64_field(r, "depth", &l.depth) || !r.end_object()) {
+        return bad();
       }
-      const auto lo = obs::origin_from_name(oname);
-      if (!lo.has_value()) {
-        return fail(error, ctx + ": unknown lineage origin '" + oname + "'");
-      }
-      l.origin = *lo;
       b.lineage.push_back(l);
     }
+    if (!r.end_array() || !r.end_object()) return bad();
     eng.crash_log_.restore_bug(std::move(b));
   }
+  if (!r.end_array() || !r.end_object()) return bad();
   eng.crash_log_.set_total_reports(total_reports);
 
-  // Snapshots first: plan_queue entries reference them by seq.
-  const obs::JsonValue* snv = member(d, "snapshots");
-  if (snv == nullptr) return fail(error, ctx + ": missing 'snapshots'");
+  // Queue entries name their fork snapshot by capture seq; the images come
+  // after the queue, so the names resolve once "snapshots" is read.
+  std::vector<std::pair<Engine::QueuedProgram, uint64_t>> queued;
+  if (!r.expect_key("plan_queue") || !r.begin_array()) return bad();
+  while (r.more()) {
+    Engine::QueuedProgram q;
+    uint64_t td = 0;
+    uint64_t ts = 0;
+    uint64_t seq = 0;
+    if (!r.begin_object() ||
+        !program_field(r, "prog", eng.calls(), &q.prog, error, ctx) ||
+        !origin_field(r, "origin", "plan_queue", &q.origin, error, ctx) ||
+        !hex_field(r, "parent", &q.parent_hash) ||
+        !bool_field(r, "has_target", &q.has_target) ||
+        !u64_field(r, "target_driver", &td) ||
+        !u64_field(r, "target_state", &ts) ||
+        !u64_field(r, "snapshot", &seq) || !r.end_object()) {
+      return bad();
+    }
+    q.target_driver = static_cast<size_t>(td);
+    q.target_state = static_cast<size_t>(ts);
+    queued.emplace_back(std::move(q), seq);
+  }
+  if (!r.end_array()) return bad();
+
   uint64_t snap_enabled = 0;
   uint64_t snap_every = 0;
-  if (!get_u64(*snv, "enabled", &snap_enabled, error, ctx.c_str()) ||
-      !get_u64(*snv, "every", &snap_every, error, ctx.c_str())) {
-    return false;
+  if (!r.expect_key("snapshots") || !r.begin_object() ||
+      !u64_field(r, "enabled", &snap_enabled) ||
+      !u64_field(r, "every", &snap_every)) {
+    return bad();
   }
   if ((snap_enabled != 0) != eng.cfg_.use_snapshots ||
       (snap_enabled != 0 && snap_every != eng.cfg_.snapshot_every)) {
@@ -561,38 +560,24 @@ bool CampaignCheckpoint::restore_device(const obs::JsonValue& d,
                            " every=" +
                            std::to_string(eng.cfg_.snapshot_every) + ")");
   }
-  if (!get_u64(*snv, "seq", &eng.snap_seq_, error, ctx.c_str())) {
-    return false;
-  }
-  const obs::JsonValue* stats = member(*snv, "stats");
-  if (stats == nullptr || !stats->is_array() || stats->items.size() != 10) {
-    return fail(error, ctx + ": missing or malformed 'snapshots.stats'");
-  }
   SnapshotStats& st = eng.snap_stats_;
-  st.captures = stats->items[0].as_u64();
-  st.restores = stats->items[1].as_u64();
-  st.forks = stats->items[2].as_u64();
-  st.fault_recoveries = stats->items[3].as_u64();
-  st.prefix_execs_saved = stats->items[4].as_u64();
-  st.prefix_calls_saved = stats->items[5].as_u64();
-  st.sections_total = stats->items[6].as_u64();
-  st.sections_shared = stats->items[7].as_u64();
-  st.bytes_total = stats->items[8].as_u64();
-  st.bytes_shared = stats->items[9].as_u64();
-  const obs::JsonValue* imgs = member(*snv, "images");
-  if (imgs == nullptr || !imgs->is_array()) {
-    return fail(error, ctx + ": missing 'snapshots.images'");
+  if (!u64_field(r, "seq", &eng.snap_seq_) || !r.expect_key("stats") ||
+      !u64_row(r, {&st.captures, &st.restores, &st.forks,
+                   &st.fault_recoveries, &st.prefix_execs_saved,
+                   &st.prefix_calls_saved, &st.sections_total,
+                   &st.sections_shared, &st.bytes_total, &st.bytes_shared}) ||
+      !r.expect_key("images") || !r.begin_array()) {
+    return bad();
   }
   // Rebuild shared_ptr identity by seq: the pool, the fault-recovery
   // anchor, and queue entries that referenced the same snapshot on the
   // save side share one object again after restore.
   std::map<uint64_t, std::shared_ptr<const device::StateSnapshot>> by_seq;
-  for (const auto& iv : imgs->items) {
-    if (!iv.is_string()) {
-      return fail(error, ctx + ": snapshot image is not a hex string");
-    }
-    std::vector<uint8_t> bytes;
-    if (!bytes_from_hex(iv.scalar, &bytes)) {
+  std::vector<uint8_t> bytes;
+  while (r.more()) {
+    std::string_view hex;
+    if (!r.read_string(&hex)) return bad();
+    if (!util::bytes_from_hex(hex, &bytes)) {
       return fail(error, ctx + ": snapshot image is not valid hex");
     }
     device::StateSnapshot snap;
@@ -605,145 +590,98 @@ bool CampaignCheckpoint::restore_device(const obs::JsonValue& d,
         std::make_shared<const device::StateSnapshot>(std::move(snap));
   }
   std::vector<uint64_t> pool_seqs;
-  if (!get_u64_array(*snv, "pool", &pool_seqs, error, ctx.c_str())) {
-    return false;
+  uint64_t last_good = 0;
+  if (!r.end_array() || !r.expect_key("pool") ||
+      !u64_array(r, &pool_seqs, /*hex=*/false) ||
+      !u64_field(r, "last_good", &last_good) || !r.end_object()) {
+    return bad();
   }
-  for (uint64_t seq : pool_seqs) {
+  const auto snapshot = [&](uint64_t seq, const char* what,
+                            std::shared_ptr<const device::StateSnapshot>* out) {
     const auto it = by_seq.find(seq);
     if (it == by_seq.end()) {
-      return fail(error, ctx + ": pool references missing snapshot " +
+      return fail(error, ctx + ": " + what + " references missing snapshot " +
                              std::to_string(seq));
     }
-    eng.snap_pool_.push_back(it->second);
+    *out = it->second;
+    return true;
+  };
+  for (uint64_t seq : pool_seqs) {
+    if (!snapshot(seq, "pool", &eng.snap_pool_.emplace_back())) return false;
   }
-  uint64_t last_good = 0;
-  if (!get_u64(*snv, "last_good", &last_good, error, ctx.c_str())) {
+  if (last_good != 0 && !snapshot(last_good, "last_good", &eng.last_good_)) {
     return false;
   }
-  if (last_good != 0) {
-    const auto it = by_seq.find(last_good);
-    if (it == by_seq.end()) {
-      return fail(error, ctx + ": last_good references missing snapshot " +
-                             std::to_string(last_good));
-    }
-    eng.last_good_ = it->second;
-  }
-
-  const obs::JsonValue* pq = member(d, "plan_queue");
-  if (pq == nullptr || !pq->is_array()) {
-    return fail(error, ctx + ": missing 'plan_queue'");
-  }
-  for (const auto& pv : pq->items) {
-    Engine::QueuedProgram q;
-    std::string oname;
-    uint64_t td = 0;
-    uint64_t ts = 0;
-    uint64_t qsnap = 0;
-    const obs::JsonValue* ht = member(pv, "has_target");
-    if (!parse_program_field(pv, "prog", eng, &q.prog, error, ctx.c_str()) ||
-        !get_str(pv, "origin", &oname, error, ctx.c_str()) ||
-        !get_u64(pv, "parent", &q.parent_hash, error, ctx.c_str()) ||
-        !get_u64(pv, "target_driver", &td, error, ctx.c_str()) ||
-        !get_u64(pv, "target_state", &ts, error, ctx.c_str()) ||
-        !get_u64(pv, "snapshot", &qsnap, error, ctx.c_str())) {
-      return false;
-    }
-    if (ht == nullptr) {
-      return fail(error, ctx + ": plan_queue entry without 'has_target'");
-    }
-    const auto qo = obs::origin_from_name(oname);
-    if (!qo.has_value()) {
-      return fail(error, ctx + ": unknown plan_queue origin '" + oname + "'");
-    }
-    q.origin = *qo;
-    q.has_target = ht->boolean;
-    q.target_driver = static_cast<size_t>(td);
-    q.target_state = static_cast<size_t>(ts);
-    if (qsnap != 0) {
-      const auto it = by_seq.find(qsnap);
-      if (it == by_seq.end()) {
-        return fail(error, ctx + ": plan_queue references missing snapshot " +
-                               std::to_string(qsnap));
-      }
-      q.snapshot = it->second;
-    }
+  for (auto& [q, seq] : queued) {
+    if (seq != 0 && !snapshot(seq, "plan_queue", &q.snapshot)) return false;
     eng.plan_queue_.push_back(std::move(q));
   }
 
-  const obs::JsonValue* av = member(d, "attribution");
-  if (av == nullptr || !av->is_array() ||
-      av->items.size() != obs::kProgramOriginCount) {
-    return fail(error, ctx + ": missing or malformed 'attribution'");
-  }
-  for (size_t i = 0; i < av->items.size(); ++i) {
-    const obs::JsonValue& rowv = av->items[i];
-    if (!rowv.is_array() || rowv.items.size() != 6) {
-      return fail(error, ctx + ": malformed attribution row");
-    }
+  // Per-operator yield rows, in ProgramOrigin enum order.
+  if (!r.expect_key("attribution") || !r.begin_array()) return bad();
+  for (size_t i = 0; i < obs::kProgramOriginCount; ++i) {
     obs::OperatorYield y;
-    y.attempts = rowv.items[0].as_u64();
-    y.total_calls = rowv.items[1].as_u64();
-    y.accepts = rowv.items[2].as_u64();
-    y.new_features = rowv.items[3].as_u64();
-    y.new_states = rowv.items[4].as_u64();
-    y.bugs = rowv.items[5].as_u64();
+    if (!u64_row(r, {&y.attempts, &y.total_calls, &y.accepts,
+                     &y.new_features, &y.new_states, &y.bugs})) {
+      return bad();
+    }
     eng.attribution_.restore_row(static_cast<obs::ProgramOrigin>(i), y);
   }
+  if (!r.end_array()) return bad();
 
-  const obs::JsonValue* pav = member(d, "plan_attempts");
-  if (pav == nullptr || !pav->is_array()) {
-    return fail(error, ctx + ": missing 'plan_attempts'");
-  }
-  for (const auto& pv : pav->items) {
+  if (!r.expect_key("plan_attempts") || !r.begin_array()) return bad();
+  while (r.more()) {
     uint64_t di = 0;
-    uint64_t st = 0;
+    uint64_t si = 0;
     Engine::PlanAttempt pa;
-    if (!get_u64(pv, "driver", &di, error, ctx.c_str()) ||
-        !get_u64(pv, "state", &st, error, ctx.c_str()) ||
-        !get_u64(pv, "injected", &pa.injected, error, ctx.c_str()) ||
-        !get_u64(pv, "materialize_failed", &pa.materialize_failed, error,
-                 ctx.c_str()) ||
-        !get_u64(pv, "executed_no_visit", &pa.executed_no_visit, error,
-                 ctx.c_str())) {
-      return false;
+    if (!r.begin_object() || !u64_field(r, "driver", &di) ||
+        !u64_field(r, "state", &si) ||
+        !u64_field(r, "injected", &pa.injected) ||
+        !u64_field(r, "materialize_failed", &pa.materialize_failed) ||
+        !u64_field(r, "executed_no_visit", &pa.executed_no_visit) ||
+        !r.end_object()) {
+      return bad();
     }
-    eng.plan_attempts_[{static_cast<size_t>(di), static_cast<size_t>(st)}] =
+    eng.plan_attempts_[{static_cast<size_t>(di), static_cast<size_t>(si)}] =
         pa;
   }
+  if (!r.end_array()) return bad();
 
-  const obs::JsonValue* dv = member(d, "drivers");
-  if (dv == nullptr || !dv->is_array() ||
-      dv->items.size() != k.drivers().size()) {
-    return fail(error, ctx + ": driver tally count mismatch");
-  }
-  for (size_t i = 0; i < dv->items.size(); ++i) {
-    const obs::JsonValue& tv = dv->items[i];
+  if (!r.expect_key("drivers") || !r.begin_array()) return bad();
+  const auto& drivers = k.drivers();
+  size_t i = 0;
+  for (; r.more(); ++i) {
+    if (i == drivers.size()) {
+      return fail(error, ctx + ": driver tally count mismatch");
+    }
     uint64_t cur = 0;
     std::vector<uint64_t> visits;
     std::vector<uint64_t> matrix;
-    std::string state_hex;
-    if (!get_u64(tv, "current", &cur, error, ctx.c_str()) ||
-        !get_u64_array(tv, "visits", &visits, error, ctx.c_str()) ||
-        !get_u64_array(tv, "matrix", &matrix, error, ctx.c_str()) ||
-        !get_str(tv, "state", &state_hex, error, ctx.c_str())) {
-      return false;
+    std::string_view state_hex;
+    if (!r.begin_object() || !u64_field(r, "current", &cur) ||
+        !r.expect_key("visits") || !u64_array(r, &visits, false) ||
+        !r.expect_key("matrix") || !u64_array(r, &matrix, false) ||
+        !str_field(r, "state", &state_hex) || !r.end_object()) {
+      return bad();
     }
-    std::vector<uint8_t> state_bytes;
-    if (!bytes_from_hex(state_hex, &state_bytes)) {
+    if (!util::bytes_from_hex(state_hex, &bytes)) {
       return fail(error, ctx + ": driver state blob is not valid hex");
     }
     // Overwrites the post-reboot live fields with the save side's — both
     // sides are freshly barrier-rebooted here, so only the
     // reboot-persistent fields actually change.
-    kernel::StateReader sr(state_bytes);
-    k.drivers()[i]->load_state(sr);
+    kernel::StateReader sr(bytes);
+    drivers[i]->load_state(sr);
     if (!sr.done()) {
       return fail(error, ctx + ": driver state blob does not match driver");
     }
-    k.drivers()[i]->restore_state_tallies(static_cast<size_t>(cur),
-                                          std::move(visits),
-                                          std::move(matrix));
+    drivers[i]->restore_state_tallies(static_cast<size_t>(cur),
+                                      std::move(visits), std::move(matrix));
   }
+  if (i != drivers.size()) {
+    return fail(error, ctx + ": driver tally count mismatch");
+  }
+  if (!r.end_array() || !r.end_object()) return bad();
   return true;
 }
 
@@ -795,7 +733,7 @@ void serialize_obs(obs::JsonWriter& w, const obs::Observability& o) {
       w.begin_object();
       w.field("k", f.key);
       if (f.is_num) {
-        w.field("n", hex64(f.num));
+        w.field("n", hex_u64(f.num));
       } else {
         w.field("s", f.str);
       }
@@ -808,93 +746,92 @@ void serialize_obs(obs::JsonWriter& w, const obs::Observability& o) {
   w.end_object();
 }
 
-bool restore_obs(const obs::JsonValue& ov, obs::Observability& o,
-                 std::string* error) {
-  const char* ctx = "obs";
-  const obs::JsonValue* counters = member(ov, "counters");
-  if (counters == nullptr || !counters->is_array()) {
-    return fail(error, "obs: missing 'counters'");
+bool restore_obs(JsonReader& r, obs::Observability& o, std::string* error) {
+  const std::string ctx = "obs";
+  const auto bad = [&] { return read_fail(r, error, ctx); };
+  std::string name;
+  std::string_view label;
+  if (!r.begin_object() || !r.expect_key("counters") || !r.begin_array()) {
+    return bad();
   }
-  for (const auto& cv : counters->items) {
-    std::string name;
-    std::string label;
+  while (r.more()) {
     uint64_t value = 0;
-    if (!get_str(cv, "name", &name, error, ctx) ||
-        !get_str(cv, "label", &label, error, ctx) ||
-        !get_u64(cv, "value", &value, error, ctx)) {
-      return false;
+    if (!r.begin_object() || !str_field(r, "name", &name) ||
+        !str_field(r, "label", &label) || !u64_field(r, "value", &value) ||
+        !r.end_object()) {
+      return bad();
     }
     obs::Counter& c = o.registry.counter(name, label);
     c.reset();
     c.inc(value);
   }
-  const obs::JsonValue* gauges = member(ov, "gauges");
-  if (gauges == nullptr || !gauges->is_array()) {
-    return fail(error, "obs: missing 'gauges'");
+  if (!r.end_array() || !r.expect_key("gauges") || !r.begin_array()) {
+    return bad();
   }
-  for (const auto& gv : gauges->items) {
-    std::string name;
-    std::string label;
+  while (r.more()) {
     uint64_t bits = 0;
-    if (!get_str(gv, "name", &name, error, ctx) ||
-        !get_str(gv, "label", &label, error, ctx) ||
-        !get_u64(gv, "bits", &bits, error, ctx)) {
-      return false;
+    if (!r.begin_object() || !str_field(r, "name", &name) ||
+        !str_field(r, "label", &label) || !hex_field(r, "bits", &bits) ||
+        !r.end_object()) {
+      return bad();
     }
     o.registry.gauge(name, label).set(std::bit_cast<double>(bits));
   }
-  const obs::JsonValue* hists = member(ov, "histogram_counts");
-  if (hists == nullptr || !hists->is_array()) {
-    return fail(error, "obs: missing 'histogram_counts'");
+  if (!r.end_array() || !r.expect_key("histogram_counts") ||
+      !r.begin_array()) {
+    return bad();
   }
-  for (const auto& hv : hists->items) {
-    std::string name;
-    std::string label;
+  while (r.more()) {
     uint64_t count = 0;
-    if (!get_str(hv, "name", &name, error, ctx) ||
-        !get_str(hv, "label", &label, error, ctx) ||
-        !get_u64(hv, "count", &count, error, ctx)) {
-      return false;
+    if (!r.begin_object() || !str_field(r, "name", &name) ||
+        !str_field(r, "label", &label) || !u64_field(r, "count", &count) ||
+        !r.end_object()) {
+      return bad();
     }
     o.registry.histogram(name, label).restore_count(count);
   }
 
-  const obs::JsonValue* events = member(ov, "events");
-  if (events == nullptr || !events->is_array()) {
-    return fail(error, "obs: missing 'events'");
-  }
+  // The retained-event base depends on how many events follow, so the
+  // events are collected before the ring is reset and refilled.
   uint64_t emitted = 0;
-  if (!get_u64(ov, "emitted", &emitted, error, ctx)) return false;
-  const uint64_t replayed = events->items.size();
-  o.trace.reset_retained(emitted >= replayed ? emitted - replayed : 0);
-  for (const auto& ev : events->items) {
-    obs::TraceEvent out;
-    std::string kind;
-    if (!get_str(ev, "kind", &kind, error, ctx) ||
-        !get_str(ev, "device", &out.device, error, ctx) ||
-        !get_u64(ev, "exec", &out.exec_index, error, ctx)) {
-      return false;
-    }
-    if (!obs::kind_from_name(kind, &out.kind)) {
-      return fail(error, "obs: unknown event kind '" + kind + "'");
-    }
-    const obs::JsonValue* fields = member(ev, "fields");
-    if (fields == nullptr || !fields->is_array()) {
-      return fail(error, "obs: event without 'fields'");
-    }
-    for (const auto& f : fields->items) {
-      std::string key;
-      if (!get_str(f, "k", &key, error, ctx)) return false;
-      if (const obs::JsonValue* num = member(f, "n")) {
-        out.with(std::move(key), num->as_u64());
-      } else if (const obs::JsonValue* str = member(f, "s")) {
-        out.with(std::move(key), str->scalar);
-      } else {
-        return fail(error, "obs: event field without value");
-      }
-    }
-    o.trace.emit(std::move(out));
+  if (!r.end_array() || !u64_field(r, "emitted", &emitted) ||
+      !r.expect_key("events") || !r.begin_array()) {
+    return bad();
   }
+  std::vector<obs::TraceEvent> events;
+  while (r.more()) {
+    obs::TraceEvent ev;
+    std::string_view kind;
+    if (!r.begin_object() || !str_field(r, "kind", &kind)) return bad();
+    if (!obs::kind_from_name(kind, &ev.kind)) {
+      return fail(error, "obs: unknown event kind '" + std::string(kind) + "'");
+    }
+    if (!str_field(r, "device", &ev.device) ||
+        !u64_field(r, "exec", &ev.exec_index) || !r.expect_key("fields") ||
+        !r.begin_array()) {
+      return bad();
+    }
+    while (r.more()) {
+      std::string key;
+      if (!r.begin_object() || !str_field(r, "k", &key)) return bad();
+      if (r.optional_key("n")) {
+        uint64_t num = 0;
+        if (!r.read_hex_u64(&num)) return bad();
+        ev.with(std::move(key), num);
+      } else {
+        std::string str;
+        if (!str_field(r, "s", &str)) return bad();
+        ev.with(std::move(key), std::move(str));
+      }
+      if (!r.end_object()) return bad();
+    }
+    if (!r.end_array() || !r.end_object()) return bad();
+    events.push_back(std::move(ev));
+  }
+  if (!r.end_array() || !r.end_object()) return bad();
+  const uint64_t replayed = events.size();
+  o.trace.reset_retained(emitted >= replayed ? emitted - replayed : 0);
+  for (obs::TraceEvent& ev : events) o.trace.emit(std::move(ev));
   return true;
 }
 
@@ -936,58 +873,52 @@ void serialize_reporter(obs::JsonWriter& w, const obs::StatsReporter& r) {
   w.end_object();
 }
 
-bool restore_reporter(const obs::JsonValue& rv, obs::StatsReporter& r,
+bool restore_reporter(JsonReader& r, obs::StatsReporter& rep,
                       std::string* error) {
-  const char* ctx = "reporter";
-  const obs::JsonValue* devices = member(rv, "devices");
-  if (devices == nullptr || !devices->is_array()) {
-    return fail(error, "reporter: missing 'devices'");
+  const std::string ctx = "reporter";
+  const auto bad = [&] { return read_fail(r, error, ctx); };
+  if (!r.begin_object() || !r.expect_key("devices") || !r.begin_array()) {
+    return bad();
   }
-  for (const auto& dv : devices->items) {
-    std::string device;
-    if (!get_str(dv, "device", &device, error, ctx)) return false;
-    const obs::JsonValue* points = member(dv, "points");
-    if (points == nullptr || !points->is_array()) {
-      return fail(error, "reporter: device without 'points'");
+  std::string device;
+  while (r.more()) {
+    if (!r.begin_object() || !str_field(r, "device", &device) ||
+        !r.expect_key("points") || !r.begin_array()) {
+      return bad();
     }
-    for (const auto& pv : points->items) {
-      obs::StatsReporter::Point p;
+    while (r.more()) {
       // secs is wall-dependent and excluded from determinism comparisons;
       // restored points restart the timing axis at 0.
-      if (!get_u64(pv, "executions", &p.sample.executions, error, ctx) ||
-          !get_u64(pv, "kernel_coverage", &p.sample.kernel_coverage, error,
-                   ctx) ||
-          !get_u64(pv, "total_coverage", &p.sample.total_coverage, error,
-                   ctx) ||
-          !get_u64(pv, "corpus", &p.sample.corpus_size, error, ctx) ||
-          !get_u64(pv, "bugs", &p.sample.unique_bugs, error, ctx) ||
-          !get_u64(pv, "relation_edges", &p.sample.relation_edges, error,
-                   ctx) ||
-          !get_u64(pv, "reboots", &p.sample.reboots, error, ctx)) {
-        return false;
+      obs::StatsReporter::Point p;
+      obs::EngineSample& s = p.sample;
+      if (!r.begin_object() || !u64_field(r, "executions", &s.executions) ||
+          !u64_field(r, "kernel_coverage", &s.kernel_coverage) ||
+          !u64_field(r, "total_coverage", &s.total_coverage) ||
+          !u64_field(r, "corpus", &s.corpus_size) ||
+          !u64_field(r, "bugs", &s.unique_bugs) ||
+          !u64_field(r, "relation_edges", &s.relation_edges) ||
+          !u64_field(r, "reboots", &s.reboots) || !r.end_object()) {
+        return bad();
       }
-      r.restore_point(device, p);
+      rep.restore_point(device, p);
     }
+    if (!r.end_array() || !r.end_object()) return bad();
   }
-  const obs::JsonValue* watch = member(rv, "watch");
-  if (watch == nullptr || !watch->is_array()) {
-    return fail(error, "reporter: missing 'watch'");
+  if (!r.end_array() || !r.expect_key("watch") || !r.begin_array()) {
+    return bad();
   }
-  for (const auto& wv : watch->items) {
+  while (r.more()) {
     obs::StatsReporter::WatchState ws;
-    const obs::JsonValue* sv = member(wv, "seeded");
-    const obs::JsonValue* tv = member(wv, "stalled");
-    if (!get_str(wv, "device", &ws.device, error, ctx) ||
-        !get_u64(wv, "best_coverage", &ws.best_coverage, error, ctx) ||
-        !get_u64(wv, "last_progress_exec", &ws.last_progress_exec, error,
-                 ctx) ||
-        sv == nullptr || tv == nullptr) {
-      return fail(error, "reporter: malformed watch entry");
+    if (!r.begin_object() || !str_field(r, "device", &ws.device) ||
+        !u64_field(r, "best_coverage", &ws.best_coverage) ||
+        !u64_field(r, "last_progress_exec", &ws.last_progress_exec) ||
+        !bool_field(r, "seeded", &ws.seeded) ||
+        !bool_field(r, "stalled", &ws.stalled) || !r.end_object()) {
+      return bad();
     }
-    ws.seeded = sv->boolean;
-    ws.stalled = tv->boolean;
-    r.restore_watch(ws);
+    rep.restore_watch(ws);
   }
+  if (!r.end_array() || !r.end_object()) return bad();
   return true;
 }
 
@@ -998,7 +929,7 @@ std::string CampaignCheckpoint::serialize(Daemon& daemon) {
   w.begin_object();
   w.key("checkpoint").begin_object();
   w.field("version", kVersion);
-  w.field("seed", hex64(daemon.cfg_.seed));
+  w.field("seed", hex_u64(daemon.cfg_.seed));
   w.field("progress", daemon.progress_);
   w.field("pending_sample", daemon.pending_sample_);
   w.key("devices").begin_array();
@@ -1015,58 +946,86 @@ std::string CampaignCheckpoint::serialize(Daemon& daemon) {
 
 bool CampaignCheckpoint::restore(Daemon& daemon, const std::string& json,
                                  std::string* error) {
-  std::string parse_error;
-  auto doc = obs::json_parse(json, &parse_error);
-  if (!doc.has_value()) {
-    return fail(error, "malformed JSON (" + parse_error + ")");
+  std::string local_error;
+  if (error == nullptr) error = &local_error;
+  error->clear();
+
+  // Syntax first, over the whole text: a malformed or truncated document
+  // is rejected before the daemon is touched.
+  {
+    obs::JsonReader syntax(json);
+    if (!syntax.skip_value() || !syntax.finish()) {
+      return fail(error, "malformed JSON (" + syntax.error() + ")");
+    }
   }
-  const obs::JsonValue* cp = member(*doc, "checkpoint");
-  if (cp == nullptr) return fail(error, "not a checkpoint document");
+
+  obs::JsonReader r(json);
+  if (!r.begin_object() || !r.expect_key("checkpoint") || !r.begin_object()) {
+    return fail(error, "not a checkpoint document (" + r.error() + ")");
+  }
+  // The version comes first: a document of another version may be laid
+  // out differently from here on.
   uint64_t version = 0;
-  uint64_t seed = 0;
-  if (!get_u64(*cp, "version", &version, error, "header") ||
-      !get_u64(*cp, "seed", &seed, error, "header") ||
-      !get_u64(*cp, "progress", &daemon.progress_, error, "header") ||
-      !get_u64(*cp, "pending_sample", &daemon.pending_sample_, error,
-               "header")) {
-    return false;
-  }
+  if (!u64_field(r, "version", &version)) return read_fail(r, error, "header");
   if (version != kVersion) {
     return fail(error, "unsupported version " + std::to_string(version));
   }
+  uint64_t seed = 0;
+  uint64_t progress = 0;
+  uint64_t pending_sample = 0;
+  if (!hex_field(r, "seed", &seed) || !u64_field(r, "progress", &progress) ||
+      !u64_field(r, "pending_sample", &pending_sample)) {
+    return read_fail(r, error, "header");
+  }
   if (seed != daemon.cfg_.seed) {
-    return fail(error, "seed mismatch (checkpoint " + hex64(seed) +
-                           ", daemon " + hex64(daemon.cfg_.seed) + ")");
+    return fail(error, "seed mismatch (checkpoint " + hex_u64(seed) +
+                           ", daemon " + hex_u64(daemon.cfg_.seed) + ")");
   }
-  const obs::JsonValue* devices = member(*cp, "devices");
-  if (devices == nullptr || !devices->is_array() ||
-      devices->items.size() != daemon.engines_.size()) {
-    return fail(error, "device set mismatch");
+  daemon.progress_ = progress;
+  daemon.pending_sample_ = pending_sample;
+
+  if (!r.expect_key("devices") || !r.begin_array()) {
+    return read_fail(r, error, "header");
   }
-  for (size_t i = 0; i < devices->items.size(); ++i) {
-    std::string id;
-    if (!get_str(devices->items[i], "id", &id, error, "device")) return false;
-    if (id != daemon.engines_[i].id) {
-      return fail(error, "device order mismatch: checkpoint has '" + id +
-                             "', daemon has '" + daemon.engines_[i].id + "'");
+  size_t i = 0;
+  for (; r.more(); ++i) {
+    if (i == daemon.engines_.size()) return fail(error, "device set mismatch");
+    std::string_view id;
+    if (!r.begin_object() || !str_field(r, "id", &id)) {
+      return read_fail(r, error, "device");
     }
-    if (!restore_device(devices->items[i], id, *daemon.engines_[i].eng,
-                        error)) {
+    if (id != daemon.engines_[i].id) {
+      return fail(error, "device order mismatch: checkpoint has '" +
+                             std::string(id) + "', daemon has '" +
+                             daemon.engines_[i].id + "'");
+    }
+    if (!restore_device(r, *daemon.engines_[i].eng,
+                        "device " + daemon.engines_[i].id, error)) {
       return false;
     }
   }
+  if (i != daemon.engines_.size()) return fail(error, "device set mismatch");
+  if (!r.end_array()) return read_fail(r, error, "header");
+
   // Observability restore comes last: the per-device setup()+reboot() above
   // bumped probe/reboot metrics and emitted events, all of which the saved
-  // snapshot overwrites.
-  if (daemon.obs_ != nullptr) {
-    if (const obs::JsonValue* ov = member(*cp, "obs")) {
-      if (!restore_obs(*ov, *daemon.obs_, error)) return false;
+  // snapshot overwrites. A section the daemon has nothing to restore into
+  // is skipped.
+  if (r.optional_key("obs")) {
+    if (daemon.obs_ != nullptr ? !restore_obs(r, *daemon.obs_, error)
+                               : !r.skip_value()) {
+      return read_fail(r, error, "obs");
     }
   }
-  if (daemon.reporter_ != nullptr) {
-    if (const obs::JsonValue* rv = member(*cp, "reporter")) {
-      if (!restore_reporter(*rv, *daemon.reporter_, error)) return false;
+  if (r.optional_key("reporter")) {
+    if (daemon.reporter_ != nullptr
+            ? !restore_reporter(r, *daemon.reporter_, error)
+            : !r.skip_value()) {
+      return read_fail(r, error, "reporter");
     }
+  }
+  if (!r.end_object() || !r.end_object() || !r.finish()) {
+    return read_fail(r, error, "checkpoint");
   }
   DF_CLOG("checkpoint", kInfo)
       << "resumed campaign at " << daemon.progress_

@@ -20,15 +20,17 @@
 // disabled nothing here runs and campaigns behave exactly as before.
 //
 // Corrupted or truncated checkpoint files are rejected with a descriptive
-// error (obs/json_parse.h), never a crash.
+// error (obs/json_parse.h), never a crash. restore() reads in writer order:
+// serialize() is the only writer of checkpoints, and a document whose keys
+// are reordered, unknown or missing is rejected naming the expected key.
 #pragma once
 
 #include <cstdint>
 #include <string>
 
 namespace df::obs {
+class JsonReader;
 class JsonWriter;
-struct JsonValue;
 }  // namespace df::obs
 
 namespace df::core {
@@ -75,8 +77,9 @@ class CampaignCheckpoint {
   // apply (checkpoint.cc).
   static void serialize_device(obs::JsonWriter& w, const std::string& id,
                                Engine& eng);
-  static bool restore_device(const obs::JsonValue& d, const std::string& id,
-                             Engine& eng, std::string* error);
+  // Reads one device object from just past its "id" member to its end.
+  static bool restore_device(obs::JsonReader& r, Engine& eng,
+                             const std::string& ctx, std::string* error);
 };
 
 }  // namespace df::core

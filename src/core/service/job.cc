@@ -17,15 +17,18 @@ bool known_device(const std::string& id) {
   return false;
 }
 
-// Double values round-trip through decimal text; the only double in a spec
-// is fault_rate, where short decimals ("0.01") survive exactly.
+// Counts are decimal numbers decoded strictly: a sign, a fraction, an
+// exponent or a value past 2^64-1 is an error naming the field, not a
+// wrapped or truncated count. Double values round-trip through decimal
+// text; the only double in a spec is fault_rate, where short decimals
+// ("0.01") survive exactly.
 bool read_u64(const obs::JsonValue& v, const char* key, uint64_t* out,
-              std::string* error) {
-  if (!v.is_number()) {
-    *error = std::string("job spec: \"") + key + "\" must be a number";
+              std::string* error, const char* what = "job spec") {
+  if (!v.is_number() || !obs::decode_u64(v.scalar, out)) {
+    *error = std::string(what) + ": \"" + key +
+             "\" must be an unsigned integer";
     return false;
   }
-  *out = v.as_u64();
   return true;
 }
 
@@ -223,25 +226,25 @@ bool JobRecord::from_value(const obs::JsonValue& v, JobRecord* out,
   const obs::JsonValue* id = v.find("id");
   const obs::JsonValue* state = v.find("state");
   const obs::JsonValue* spec = v.find("spec");
-  if (id == nullptr || !id->is_number() || state == nullptr ||
-      !state->is_string() || spec == nullptr) {
+  if (id == nullptr || state == nullptr || !state->is_string() ||
+      spec == nullptr) {
     *error = "job record: missing id/state/spec";
     return false;
   }
-  rec.id = id->as_u64();
+  if (!read_u64(*id, "id", &rec.id, error, "job record")) return false;
   if (!job_state_from_string(state->scalar, &rec.state)) {
     *error = "job record: unknown state \"" + state->scalar + "\"";
     return false;
   }
   if (!JobSpec::from_value(*spec, &rec.spec, error)) return false;
-  if (const auto* p = v.find("progress"); p != nullptr) {
-    rec.progress = p->as_u64();
-  }
-  if (const auto* p = v.find("preemptions"); p != nullptr) {
-    rec.preemptions = p->as_u64();
-  }
-  if (const auto* p = v.find("wait_ticks"); p != nullptr) {
-    rec.wait_ticks = p->as_u64();
+  for (const auto& [key, field] :
+       {std::pair{"progress", &rec.progress},
+        std::pair{"preemptions", &rec.preemptions},
+        std::pair{"wait_ticks", &rec.wait_ticks}}) {
+    const auto* p = v.find(key);
+    if (p != nullptr && !read_u64(*p, key, field, error, "job record")) {
+      return false;
+    }
   }
   if (const auto* p = v.find("pause_requested"); p != nullptr) {
     rec.pause_requested = p->boolean;

@@ -210,9 +210,17 @@ bool CampaignService::boot(std::string* error) {
     return false;
   }
 
+  uint64_t next_id = 0;
+  if (!next->is_number() || !next->to_u64(&next_id)) {
+    if (error != nullptr) {
+      *error = "service manifest: \"next_id\" must be an unsigned integer";
+    }
+    return false;
+  }
+
   std::lock_guard<std::mutex> lock(mu_);
   jobs_.clear();
-  next_id_ = next->as_u64();
+  next_id_ = next_id;
   std::vector<uint64_t> interrupted;  // jobs that died mid-quantum
   for (const auto& entry : jobs->items) {
     JobRecord rec;

@@ -1,34 +1,28 @@
 #include "dsl/fmt.h"
 
-#include <cstdio>
+#include "util/hex.h"
 
 namespace df::dsl {
 
 namespace {
 
-void append_hex(std::string& out, uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "0x%llx", static_cast<unsigned long long>(v));
-  out += buf;
-}
+// The description of an argument past the call's arity: a default
+// (scalar-kind) parameter, bound by reference so no argument copies one.
+const ParamDesc kNoParam{};
 
 void append_bytes(std::string& out, const std::vector<uint8_t>& bytes) {
   out += "blob\"";
-  char buf[4];
-  for (uint8_t b : bytes) {
-    std::snprintf(buf, sizeof buf, "%02x", b);
-    out += buf;
-  }
+  util::append_hex_bytes(out, bytes.data(), bytes.size());
   out += '"';
 }
 
-}  // namespace
-
-std::string format_call(const Program& p, size_t idx) {
-  std::string out;
-  if (idx >= p.calls.size()) return out;
+// Appends call `idx` (which must exist) without a trailing newline.
+void append_call(std::string& out, const Program& p, size_t idx) {
   const Call& c = p.calls[idx];
-  if (c.desc == nullptr) return "<null>";
+  if (c.desc == nullptr) {
+    out += "<null>";
+    return;
+  }
   if (!c.desc->produces.empty()) {
     out += 'r';
     out += std::to_string(idx);
@@ -36,10 +30,10 @@ std::string format_call(const Program& p, size_t idx) {
   }
   out += c.desc->name;
   out += '(';
+  const std::vector<ParamDesc>& params = c.desc->params;
   for (size_t a = 0; a < c.args.size(); ++a) {
     if (a > 0) out += ", ";
-    const ParamDesc& pd = a < c.desc->params.size() ? c.desc->params[a]
-                                                    : ParamDesc{};
+    const ParamDesc& pd = a < params.size() ? params[a] : kNoParam;
     const Value& v = c.args[a];
     switch (pd.kind) {
       case ArgKind::kHandle:
@@ -55,18 +49,25 @@ std::string format_call(const Program& p, size_t idx) {
         append_bytes(out, v.bytes);
         break;
       default:
-        append_hex(out, v.scalar);
+        util::append_hex_u64(out, v.scalar);
         break;
     }
   }
   out += ')';
+}
+
+}  // namespace
+
+std::string format_call(const Program& p, size_t idx) {
+  std::string out;
+  if (idx < p.calls.size()) append_call(out, p, idx);
   return out;
 }
 
 std::string format_program(const Program& p) {
   std::string out;
   for (size_t i = 0; i < p.calls.size(); ++i) {
-    out += format_call(p, i);
+    append_call(out, p, i);
     out += '\n';
   }
   return out;

@@ -3,6 +3,8 @@
 #include <cctype>
 #include <charconv>
 
+#include "util/hex.h"
+
 namespace df::dsl {
 
 namespace {
@@ -57,16 +59,10 @@ bool parse_blob(Cursor& c, std::vector<uint8_t>& out) {
   // At "blob\"hex...\"" with `blob` already consumed by ident().
   if (!c.consume('"')) return false;
   out.clear();
-  auto hexval = [](char ch) -> int {
-    if (ch >= '0' && ch <= '9') return ch - '0';
-    if (ch >= 'a' && ch <= 'f') return ch - 'a' + 10;
-    if (ch >= 'A' && ch <= 'F') return ch - 'A' + 10;
-    return -1;
-  };
   while (!c.eof() && c.peek() != '"') {
-    const int hi = hexval(c.s[c.pos]);
+    const int hi = util::hex_value(c.s[c.pos]);
     if (hi < 0 || c.pos + 1 >= c.s.size()) return false;
-    const int lo = hexval(c.s[c.pos + 1]);
+    const int lo = util::hex_value(c.s[c.pos + 1]);
     if (lo < 0) return false;
     out.push_back(static_cast<uint8_t>(hi * 16 + lo));
     c.pos += 2;

@@ -256,6 +256,33 @@ TEST(Checkpoint, ResumedBudgetAlreadySpentIsANoOp) {
   EXPECT_EQ(b.engine("E")->executions(), 500u);
 }
 
+// serialize() after a resume reproduces the document it resumed from, byte
+// for byte: restore reads back every field the writer wrote.
+TEST(Checkpoint, SerializeRestoreSerializeIsIdentity) {
+  for (const double fault_rate : {0.0, 0.02}) {
+    CampaignSetup setup;
+    setup.cfg.seed = 42;
+    setup.cfg.engine.fault.rate = fault_rate;
+    setup.devices = {"A1", "C1"};
+    Campaign source(setup);
+    source.daemon.run(1024, 128);
+    const std::string doc = source.daemon.checkpoint_json();
+
+    Campaign resumed(setup);
+    std::string error;
+    ASSERT_TRUE(resumed.daemon.resume(doc, &error)) << error;
+    const std::string again = CampaignCheckpoint::serialize(resumed.daemon);
+    ASSERT_EQ(again.size(), doc.size()) << "fault_rate " << fault_rate;
+    size_t first_diff = 0;
+    while (first_diff < doc.size() && doc[first_diff] == again[first_diff]) {
+      ++first_diff;
+    }
+    EXPECT_EQ(first_diff, doc.size())
+        << "fault_rate " << fault_rate << ": first difference at byte "
+        << first_diff;
+  }
+}
+
 // --- rejection: corrupted / mismatched checkpoints -------------------------
 
 class CheckpointRejectTest : public ::testing::Test {
@@ -389,6 +416,65 @@ TEST_F(CheckpointRejectTest, SnapshotPoolReferencingMissingImageIsRejected) {
   Daemon d = matching_daemon();
   EXPECT_FALSE(d.resume(doc, &error));
   EXPECT_NE(error.find("snapshot"), std::string::npos) << error;
+}
+
+// Rewrites the first occurrence of `from` in the valid document.
+std::string edited(const std::string& doc, const std::string& from,
+                   const std::string& to) {
+  std::string out = doc;
+  const size_t pos = out.find(from);
+  EXPECT_NE(pos, std::string::npos) << from;
+  if (pos != std::string::npos) out.replace(pos, from.size(), to);
+  return out;
+}
+
+TEST_F(CheckpointRejectTest, NonHexRngWordIsRejectedNamingTheField) {
+  const size_t pos = valid_.find("\"rng\":[\"0x");
+  ASSERT_NE(pos, std::string::npos);
+  std::string doc = valid_;
+  doc[pos + strlen("\"rng\":[\"0x")] = 'g';
+  std::string error;
+  Daemon d = matching_daemon();
+  EXPECT_FALSE(d.resume(doc, &error));
+  EXPECT_NE(error.find("field 'rng'"), std::string::npos) << error;
+}
+
+TEST_F(CheckpointRejectTest, NonDecimalCountIsRejectedNamingTheField) {
+  for (const char* bad : {"-600", "600.5", "6e2", "18446744073709551616"}) {
+    const std::string doc = edited(valid_, "\"exec_count\":600",
+                                   std::string("\"exec_count\":") + bad);
+    std::string error;
+    Daemon d = matching_daemon();
+    EXPECT_FALSE(d.resume(doc, &error)) << bad;
+    EXPECT_NE(error.find("field 'exec_count'"), std::string::npos) << error;
+  }
+}
+
+TEST_F(CheckpointRejectTest, ReorderedKeysAreRejectedNamingTheExpectedKey) {
+  const size_t seed_at = valid_.find(",\"seed\":");
+  const size_t seed_end = valid_.find(',', seed_at + 1);
+  ASSERT_NE(seed_end, std::string::npos);
+  // {"version":4,"seed":"0x5",... -> {"seed":"0x5","version":4,...
+  const std::string version = valid_.substr(
+      valid_.find("\"version\""), seed_at - valid_.find("\"version\""));
+  const std::string seed = valid_.substr(seed_at + 1, seed_end - seed_at - 1);
+  const std::string doc =
+      edited(valid_, version + "," + seed, seed + "," + version);
+  std::string error;
+  Daemon d = matching_daemon();
+  EXPECT_FALSE(d.resume(doc, &error));
+  EXPECT_NE(error.find("expected key 'version'"), std::string::npos) << error;
+}
+
+TEST_F(CheckpointRejectTest, UnknownKeyIsRejectedNamingTheExpectedKey) {
+  const std::string doc =
+      edited(valid_, "\"devices\":[", "\"extra\":1,\"devices\":[");
+  std::string error;
+  Daemon d = matching_daemon();
+  EXPECT_FALSE(d.resume(doc, &error));
+  EXPECT_NE(error.find("expected key 'devices', found 'extra'"),
+            std::string::npos)
+      << error;
 }
 
 // --- file I/O --------------------------------------------------------------

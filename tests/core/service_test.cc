@@ -148,6 +148,44 @@ TEST(JobSpec, JsonRoundTripAndStrictParse) {
   EXPECT_NE(error.find("unknown key"), std::string::npos);
 }
 
+TEST(JobSpec, CountsAreDecodedStrictly) {
+  JobSpec back;
+  std::string error;
+  // A sign, a fraction, an exponent, an overflow or a string is an error
+  // naming the field, not a wrapped or truncated count.
+  for (const char* budget : {"-1", "1.9", "1e3", "18446744073709551616",
+                             "\"10\""}) {
+    const std::string doc =
+        std::string("{\"devices\":[\"A1\"],\"budget\":") + budget + "}";
+    EXPECT_FALSE(JobSpec::from_json(doc, &back, &error)) << doc;
+    EXPECT_NE(error.find("\"budget\""), std::string::npos) << error;
+  }
+  EXPECT_FALSE(JobSpec::from_json(
+      "{\"devices\":[\"A1\"],\"budget\":10,\"priority\":-10}", &back, &error));
+  EXPECT_NE(error.find("\"priority\""), std::string::npos) << error;
+  ASSERT_TRUE(JobSpec::from_json(
+      "{\"devices\":[\"A1\"],\"budget\":18446744073709551615}", &back, &error))
+      << error;
+  EXPECT_EQ(back.budget, UINT64_MAX);
+
+  // Manifest records decode their counts the same way.
+  const std::string spec = small_spec(1).to_json();
+  for (const std::string field : {"id", "progress", "preemptions",
+                                   "wait_ticks"}) {
+    std::string rec_doc = "{\"state\":\"queued\",\"spec\":" + spec;
+    for (const char* count : {"id", "progress", "preemptions", "wait_ticks"}) {
+      rec_doc += std::string(",\"") + count + "\":" +
+                 (field == count ? "-5" : "1");
+    }
+    rec_doc += "}";
+    const auto doc = obs::json_parse(rec_doc, &error);
+    ASSERT_TRUE(doc.has_value()) << error;
+    JobRecord rec;
+    EXPECT_FALSE(JobRecord::from_value(*doc, &rec, &error)) << field;
+    EXPECT_NE(error.find("\"" + field + "\""), std::string::npos) << error;
+  }
+}
+
 // --- scheduler determinism -------------------------------------------------
 
 std::string unique_dir(const std::string& tag) {

@@ -1,6 +1,8 @@
 // Round-trip tests for the textual program form.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
 #include "dsl/fmt.h"
 #include "dsl/parse.h"
 
@@ -70,6 +72,35 @@ TEST_F(FmtParseTest, FormatsNilAndBlob) {
   c.args = {fd, blob};
   p.calls.push_back(c);
   EXPECT_EQ(format_program(p), "write$pcm(nil, blob\"dead\")\n");
+
+  // Every byte value, both ends of the scalar range, and an argument past
+  // the description's arity (formatted as a scalar).
+  Program q;
+  Call all;
+  all.desc = write_;
+  Value bytes;
+  std::string want_hex;
+  for (int b = 0; b < 256; ++b) {
+    bytes.bytes.push_back(static_cast<uint8_t>(b));
+    char buf[3];
+    std::snprintf(buf, sizeof buf, "%02x", b);
+    want_hex += buf;
+  }
+  Value past_arity;
+  past_arity.scalar = UINT64_MAX;
+  all.args = {fd, bytes, past_arity};
+  q.calls.push_back(all);
+  Call zero;
+  zero.desc = attach_;
+  Value zero_mode;
+  zero_mode.scalar = 0;
+  zero.args = {fd, zero_mode};
+  q.calls.push_back(zero);
+  EXPECT_EQ(format_program(q), "write$pcm(nil, blob\"" + want_hex +
+                                   "\", 0xffffffffffffffff)\n"
+                                   "ioctl$RT1711_ATTACH(nil, 0x0)\n");
+  EXPECT_EQ(format_call(q, 1), "ioctl$RT1711_ATTACH(nil, 0x0)");
+  EXPECT_EQ(format_call(q, 2), "");
 }
 
 TEST_F(FmtParseTest, ParseRoundTrip) {

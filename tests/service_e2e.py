@@ -46,13 +46,15 @@ SPEC_B = {
     "priority": 0, "slice": 64, "sample_every": 128,
     "checkpoint_every": 256, "fault_rate": 0.0,
 }
-# Low priority, never scheduled before the cancel at this quantum cadence.
+# Lowest priority (priorities are unsigned; a negative one is a 400), so
+# it queues behind a and b until the cancel.
 SPEC_C = {
     "name": "e2e-c", "devices": ["C1"], "seed": 7, "budget": 4096,
-    "priority": -10, "slice": 64, "sample_every": 128,
+    "priority": 0, "slice": 64, "sample_every": 128,
     "checkpoint_every": 512, "fault_rate": 0.0,
 }
 BAD_SPEC = {"name": "nope", "devices": ["NOT-A-DEVICE"], "budget": 100}
+NEGATIVE_BUDGET = {"devices": ["A1"], "budget": -1}
 
 
 def request(port, path, body=None, method=None):
@@ -124,6 +126,10 @@ def main(argv):
         status, body = request(port, "/jobs", body=BAD_SPEC)
         if status != 400 or "error" not in json.loads(body):
             return fail(f"bad spec must 400: {status} {body!r}")
+        # Counts decode strictly: a negative budget is a 400 naming it.
+        status, body = request(port, "/jobs", body=NEGATIVE_BUDGET)
+        if status != 400 or "budget" not in json.loads(body)["error"]:
+            return fail(f"negative budget must 400: {status} {body!r}")
 
         ids = {}
         for key, spec in (("a", SPEC_A), ("b", SPEC_B), ("c", SPEC_C)):
