@@ -66,7 +66,7 @@ int main() {
         capture_analytics(series, eng);
         capture_distill(series, eng);
         exported.push_back(std::move(series));
-        for (const auto& [drv, n] : dev->kernel().per_driver_coverage()) {
+        for (const auto& [drv, n] : eng.features().kernel_per_driver()) {
           driver_cov[drv].first += static_cast<double>(n);
         }
         for (const auto& d : dev->kernel().drivers()) {
@@ -82,7 +82,8 @@ int main() {
         BenchSeries series{id, "syzkaller", r, std::move(points), {}};
         capture_analytics(series, syz.engine());
         exported.push_back(std::move(series));
-        for (const auto& [drv, n] : dev->kernel().per_driver_coverage()) {
+        for (const auto& [drv, n] :
+             syz.engine().features().kernel_per_driver()) {
           driver_cov[drv].second += static_cast<double>(n);
         }
       }

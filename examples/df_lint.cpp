@@ -154,7 +154,7 @@ int main(int argc, char** argv) {
       if (fr.report.errors() > 0) {
         df::dsl::Program fixed = df::dsl::clone(*prog);
         lint.repair(fixed);
-        fr.repairable = lint.analyze(fixed).clean();
+        fr.repairable = lint.clean(fixed);
         if (fr.repairable) {
           ++repaired;
         } else {

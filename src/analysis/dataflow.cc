@@ -48,11 +48,51 @@ size_t destroyed_arg(const CallDesc& d) {
   return kNoIndex;
 }
 
+UseFact handle_use(const Program& prog, size_t i, size_t a,
+                   const std::vector<size_t>& closed_site) {
+  const CallDesc& d = *prog.calls[i].desc;
+  const Value& v = prog.calls[i].args[a];
+  UseFact u;
+  u.is_handle = true;
+  if (v.ref == Value::kNoRef) {
+    u.unresolved = true;
+    return u;
+  }
+  const auto ref = static_cast<size_t>(v.ref);
+  const size_t n = prog.calls.size();
+  const CallDesc* producer =
+      v.ref >= 0 && ref < n ? prog.calls[ref].desc : nullptr;
+  u.structural_ok = v.ref >= 0 && ref < i && producer != nullptr &&
+                    producer->produces == d.params[a].handle_type;
+  if (!u.structural_ok) return u;
+  u.def = ref;
+  if (closed_site[ref] != kNoIndex) {
+    u.after_close = true;
+    u.close_site = closed_site[ref];
+    u.second_destroy = !d.destroys.empty() && destroyed_arg(d) == a;
+  }
+  return u;
+}
+
+size_t record_destroy(const Program& prog, size_t i,
+                      std::vector<size_t>& closed_site) {
+  const dsl::Call& c = prog.calls[i];
+  if (c.desc->destroys.empty()) return kNoIndex;
+  const size_t a = destroyed_arg(*c.desc);
+  if (a == kNoIndex || a >= c.args.size()) return kNoIndex;
+  const int32_t ref = c.args[a].ref;
+  if (ref < 0 || static_cast<size_t>(ref) >= prog.calls.size() ||
+      closed_site[static_cast<size_t>(ref)] != kNoIndex) {
+    return kNoIndex;
+  }
+  closed_site[static_cast<size_t>(ref)] = i;
+  return static_cast<size_t>(ref);
+}
+
 ProgramDataflow::ProgramDataflow(const Program& prog) {
   const size_t n = prog.calls.size();
   def_index_.assign(n, -1);
   uses_.resize(n);
-  // closed_site[j]: the call index that destroyed producer j, or kNoIndex.
   std::vector<size_t> closed_site(n, kNoIndex);
 
   for (size_t i = 0; i < n; ++i) {
@@ -71,27 +111,11 @@ ProgramDataflow::ProgramDataflow(const Program& prog) {
     uses_[i].resize(c.args.size());
 
     for (size_t a = 0; a < c.args.size(); ++a) {
-      const ParamDesc& p = d->params[a];
-      if (p.kind != ArgKind::kHandle) continue;
-      UseFact& u = uses_[i][a];
-      u.is_handle = true;
-      const Value& v = c.args[a];
-      if (v.ref == Value::kNoRef) {
-        u.unresolved = true;
-        continue;
-      }
-      const auto ref = static_cast<size_t>(v.ref);
-      const CallDesc* producer =
-          v.ref >= 0 && ref < n ? prog.calls[ref].desc : nullptr;
-      u.structural_ok = v.ref >= 0 && ref < i && producer != nullptr &&
-                        producer->produces == p.handle_type;
+      if (d->params[a].kind != ArgKind::kHandle) continue;
+      const UseFact& u = uses_[i][a] = handle_use(prog, i, a, closed_site);
       if (!u.structural_ok) continue;
-      u.def = ref;
-      DefInfo& def = defs_[static_cast<size_t>(def_index_[ref])];
-      if (closed_site[ref] != kNoIndex) {
-        u.after_close = true;
-        u.close_site = closed_site[ref];
-        u.second_destroy = !d->destroys.empty() && destroyed_arg(*d) == a;
+      DefInfo& def = defs_[static_cast<size_t>(def_index_[u.def])];
+      if (u.after_close) {
         def.stale_uses.push_back(i);
         ++stale_uses_;
       } else {
@@ -99,21 +123,9 @@ ProgramDataflow::ProgramDataflow(const Program& prog) {
       }
     }
 
-    // Record the destroy *after* the call's own args, so closing a live
-    // resource reads as a legal (final) use of it.
-    if (!d->destroys.empty()) {
-      const size_t a = destroyed_arg(*d);
-      if (a != kNoIndex && a < c.args.size()) {
-        const int32_t ref = c.args[a].ref;
-        if (ref >= 0 && static_cast<size_t>(ref) < n &&
-            closed_site[static_cast<size_t>(ref)] == kNoIndex) {
-          closed_site[static_cast<size_t>(ref)] = i;
-          if (def_index_[static_cast<size_t>(ref)] >= 0) {
-            defs_[static_cast<size_t>(def_index_[static_cast<size_t>(ref)])]
-                .destroyed_at = i;
-          }
-        }
-      }
+    const size_t closed = record_destroy(prog, i, closed_site);
+    if (closed != kNoIndex && def_index_[closed] >= 0) {
+      defs_[static_cast<size_t>(def_index_[closed])].destroyed_at = i;
     }
   }
 

@@ -86,6 +86,19 @@ struct UseFact {
   bool second_destroy = false;   // this use is itself another destroy
 };
 
+// The transfer function ProgramDataflow's forward pass is built from, for
+// one-pass clients that need only the use facts (the lint gate).
+// `closed_site[j]` is the call that destroyed producer j so far, or
+// kNoIndex. handle_use() reads the facts of call `i`'s handle arg `a`
+// (the call must have a description and full arity); record_destroy() then
+// applies call `i`'s destroy — after its own args, so closing a live
+// resource reads as a legal (final) use of it — and returns the producer it
+// closed, or kNoIndex.
+UseFact handle_use(const dsl::Program& prog, size_t i, size_t a,
+                   const std::vector<size_t>& closed_site);
+size_t record_destroy(const dsl::Program& prog, size_t i,
+                      std::vector<size_t>& closed_site);
+
 class ProgramDataflow {
  public:
   explicit ProgramDataflow(const dsl::Program& prog);

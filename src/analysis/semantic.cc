@@ -119,40 +119,62 @@ bool LintReport::has(Pass p) const {
 
 LintReport ProgramLint::analyze(const Program& prog) const {
   LintReport rep;
+  scan(prog, &rep);
+  return rep;
+}
+
+bool ProgramLint::clean(const Program& prog) const {
+  return scan(prog, nullptr);
+}
+
+bool ProgramLint::scan(const Program& prog, LintReport* rep) const {
   const size_t n = prog.calls.size();
 
-  // One forward dataflow pass computes the def-use/lifetime facts; the
-  // four passes below are pure clients reading them off in program order.
-  const ProgramDataflow flow(prog);
+  // The passes walk the program once, in order, applying the dataflow
+  // engine's transfer function as they go; the full def-use lattice is
+  // built only for the dead-statement pass below.
+  std::vector<size_t> closed_site(n, kNoIndex);
   // After-close uses seen so far, for the stale-handle allowance.
   size_t stale_seen = 0;
+  bool no_errors = true;
 
-  auto add = [&rep](Pass pass, Severity sev, size_t call, size_t arg,
-                    std::string msg) {
+  // Records one finding; `message` runs only when there is a report to
+  // fill. Returns true when the scan may stop: an error on the errors-only
+  // path, which has its answer.
+  auto add = [rep, &no_errors](Pass pass, Severity sev, size_t call,
+                               size_t arg, const auto& message) {
+    if (sev == Severity::kError) no_errors = false;
+    if (rep == nullptr) return !no_errors;
     Finding f;
     f.pass = pass;
     f.severity = sev;
     f.call = call;
     f.arg = arg;
-    f.message = std::move(msg);
-    rep.findings.push_back(std::move(f));
+    f.message = message();
+    rep->findings.push_back(std::move(f));
+    return false;
   };
 
   for (size_t i = 0; i < n; ++i) {
     const dsl::Call& c = prog.calls[i];
     const CallDesc* d = c.desc;
     if (d == nullptr) {
-      if (opts_.dangling_refs) {
-        add(Pass::kDanglingRef, Severity::kError, i, Finding::kNoArg,
-            "statement has no call description");
+      if (opts_.dangling_refs &&
+          add(Pass::kDanglingRef, Severity::kError, i, Finding::kNoArg, [] {
+            return std::string("statement has no call description");
+          })) {
+        return false;
       }
       continue;
     }
     if (c.args.size() != d->params.size()) {
-      if (opts_.dangling_refs) {
-        add(Pass::kDanglingRef, Severity::kError, i, Finding::kNoArg,
-            d->name + ": arity mismatch (" + std::to_string(c.args.size()) +
-                " args, " + std::to_string(d->params.size()) + " params)");
+      if (opts_.dangling_refs &&
+          add(Pass::kDanglingRef, Severity::kError, i, Finding::kNoArg, [&] {
+            return d->name + ": arity mismatch (" +
+                   std::to_string(c.args.size()) + " args, " +
+                   std::to_string(d->params.size()) + " params)";
+          })) {
+        return false;
       }
       continue;
     }
@@ -162,27 +184,32 @@ LintReport ProgramLint::analyze(const Program& prog) const {
       const Value& v = c.args[a];
 
       if (p.kind == ArgKind::kHandle) {
-        const UseFact& u = flow.use(i, a);
+        const UseFact u = handle_use(prog, i, a, closed_site);
         if (u.unresolved) {
           if (opts_.dangling_refs) {
-            add(Pass::kDanglingRef, Severity::kWarning, i, a,
-                d->name + "." + p.name + ": unresolved " + p.handle_type +
-                    " handle (executor will substitute an invalid one)");
+            add(Pass::kDanglingRef, Severity::kWarning, i, a, [&] {
+              return d->name + "." + p.name + ": unresolved " +
+                     p.handle_type +
+                     " handle (executor will substitute an invalid one)";
+            });
           }
           continue;
         }
         if (!u.structural_ok) {
-          if (opts_.dangling_refs) {
-            const auto ref = static_cast<size_t>(v.ref);
-            const CallDesc* producer =
-                v.ref >= 0 && ref < n ? prog.calls[ref].desc : nullptr;
-            add(Pass::kDanglingRef, Severity::kError, i, a,
-                d->name + "." + p.name + ": dangling result reference r" +
-                    std::to_string(v.ref) +
-                    (producer != nullptr && ref < i
-                         ? " (produces " + producer->produces + ", needs " +
-                               p.handle_type + ")"
-                         : " (no earlier producer at that index)"));
+          if (opts_.dangling_refs &&
+              add(Pass::kDanglingRef, Severity::kError, i, a, [&] {
+                const auto ref = static_cast<size_t>(v.ref);
+                const CallDesc* producer =
+                    v.ref >= 0 && ref < n ? prog.calls[ref].desc : nullptr;
+                return d->name + "." + p.name +
+                       ": dangling result reference r" +
+                       std::to_string(v.ref) +
+                       (producer != nullptr && ref < i
+                            ? " (produces " + producer->produces +
+                                  ", needs " + p.handle_type + ")"
+                            : " (no earlier producer at that index)");
+              })) {
+            return false;
           }
           continue;
         }
@@ -194,11 +221,15 @@ LintReport ProgramLint::analyze(const Program& prog) const {
             const Severity sev = stale_seen <= opts_.stale_handle_allowance
                                      ? Severity::kWarning
                                      : Severity::kError;
-            add(Pass::kUseAfterClose, sev, i, a,
-                d->name + "." + p.name + ": " +
-                    (u.second_destroy ? "double close of r" : "use of r") +
-                    std::to_string(v.ref) + " after " +
-                    prog.calls[u.def].desc->produces + " was destroyed");
+            if (add(Pass::kUseAfterClose, sev, i, a, [&] {
+                  return d->name + "." + p.name + ": " +
+                         (u.second_destroy ? "double close of r"
+                                           : "use of r") +
+                         std::to_string(v.ref) + " after " +
+                         prog.calls[u.def].desc->produces + " was destroyed";
+                })) {
+              return false;
+            }
           }
           continue;
         }
@@ -206,56 +237,69 @@ LintReport ProgramLint::analyze(const Program& prog) const {
       }
 
       if (!opts_.type_width) continue;
+      bool stop = false;
       if (is_scalar_kind(p.kind)) {
         const uint64_t mask = kind_width_mask(p.kind);
         if ((v.scalar & ~mask) != 0) {
-          add(Pass::kTypeWidth, Severity::kError, i, a,
-              d->name + "." + p.name + ": value " + util::hex_u64(v.scalar) +
-                  " exceeds " + kind_label(p.kind) + " width");
+          stop = add(Pass::kTypeWidth, Severity::kError, i, a, [&] {
+            return d->name + "." + p.name + ": value " +
+                   util::hex_u64(v.scalar) + " exceeds " +
+                   kind_label(p.kind) + " width";
+          });
         } else if (v.scalar < p.min || v.scalar > p.max) {
-          add(Pass::kTypeWidth, Severity::kError, i, a,
-              d->name + "." + p.name + ": value " + util::hex_u64(v.scalar) +
-                  " outside declared range [" + util::hex_u64(p.min) + ", " +
-                  util::hex_u64(p.max) + "]");
+          stop = add(Pass::kTypeWidth, Severity::kError, i, a, [&] {
+            return d->name + "." + p.name + ": value " +
+                   util::hex_u64(v.scalar) + " outside declared range [" +
+                   util::hex_u64(p.min) + ", " + util::hex_u64(p.max) + "]";
+          });
         }
       } else if (p.kind == ArgKind::kEnum) {
         if (std::find(p.choices.begin(), p.choices.end(), v.scalar) ==
             p.choices.end()) {
-          add(Pass::kTypeWidth, Severity::kError, i, a,
-              d->name + "." + p.name + ": value " + util::hex_u64(v.scalar) +
-                  " is not one of the " + std::to_string(p.choices.size()) +
-                  " declared enum choices");
+          stop = add(Pass::kTypeWidth, Severity::kError, i, a, [&] {
+            return d->name + "." + p.name + ": value " +
+                   util::hex_u64(v.scalar) + " is not one of the " +
+                   std::to_string(p.choices.size()) +
+                   " declared enum choices";
+          });
         }
       } else if (p.kind == ArgKind::kFlags) {
         const uint64_t mask = flags_mask(p);
         if ((v.scalar & ~mask) != 0) {
-          add(Pass::kTypeWidth, Severity::kError, i, a,
-              d->name + "." + p.name + ": value " + util::hex_u64(v.scalar) +
-                  " sets bits outside the declared flag mask " +
-                  util::hex_u64(mask));
+          stop = add(Pass::kTypeWidth, Severity::kError, i, a, [&] {
+            return d->name + "." + p.name + ": value " +
+                   util::hex_u64(v.scalar) +
+                   " sets bits outside the declared flag mask " +
+                   util::hex_u64(mask);
+          });
         }
       } else if (p.kind == ArgKind::kBool) {
         if (v.scalar > 1) {
-          add(Pass::kTypeWidth, Severity::kError, i, a,
-              d->name + "." + p.name + ": value " + util::hex_u64(v.scalar) +
-                  " is not a bool");
+          stop = add(Pass::kTypeWidth, Severity::kError, i, a, [&] {
+            return d->name + "." + p.name + ": value " +
+                   util::hex_u64(v.scalar) + " is not a bool";
+          });
         }
       } else if (p.kind == ArgKind::kString || p.kind == ArgKind::kBlob) {
         if (v.bytes.size() > p.max_len) {
-          add(Pass::kTypeWidth, Severity::kError, i, a,
-              d->name + "." + p.name + ": " +
-                  std::to_string(v.bytes.size()) + " bytes exceeds max_len " +
-                  std::to_string(p.max_len));
+          stop = add(Pass::kTypeWidth, Severity::kError, i, a, [&] {
+            return d->name + "." + p.name + ": " +
+                   std::to_string(v.bytes.size()) +
+                   " bytes exceeds max_len " + std::to_string(p.max_len);
+          });
         }
       }
+      if (stop) return false;
     }
-
+    record_destroy(prog, i, closed_site);
   }
 
-  if (opts_.dead_statements) {
+  // Dead statements are warnings only, so the errors-only path skips them.
+  if (opts_.dead_statements && rep != nullptr) {
     // Dead-statement pass off the lifetime lattice: a def nothing consumed.
     // When the use-after-close pass is off, stale uses count as consumption
     // (the historical relaxed-gate behaviour).
+    const ProgramDataflow flow(prog);
     for (const DefInfo& def : flow.defs()) {
       const bool consumed =
           !def.uses.empty() ||
@@ -263,11 +307,13 @@ LintReport ProgramLint::analyze(const Program& prog) const {
       if (consumed) continue;
       const CallDesc* d = prog.calls[def.call].desc;
       add(Pass::kDeadStatement, Severity::kWarning, def.call, Finding::kNoArg,
-          d->name + ": produced " + d->produces +
-              " is never consumed by a later call");
+          [&] {
+            return d->name + ": produced " + d->produces +
+                   " is never consumed by a later call";
+          });
     }
   }
-  return rep;
+  return no_errors;
 }
 
 size_t ProgramLint::repair(Program& prog) const {

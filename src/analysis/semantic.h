@@ -8,10 +8,10 @@
 // Each such program wastes one device execution on a guaranteed error path.
 //
 // ProgramLint runs four passes over a program as clients of the forward
-// dataflow engine (analysis/dataflow.h): def-use chains and the
-// handle-lifetime lattice are computed once per program, and each pass
-// reads facts off it. The engine counts the outcomes as analysis.rejected /
-// analysis.repaired.
+// dataflow engine (analysis/dataflow.h): the use facts come from its
+// transfer function, applied once per call in program order, and the
+// dead-statement pass reads the def-use lattice. The engine counts the
+// outcomes as analysis.rejected / analysis.repaired.
 #pragma once
 
 #include <cstddef>
@@ -78,6 +78,10 @@ class ProgramLint {
   explicit ProgramLint(LintOptions opts) : opts_(opts) {}
 
   LintReport analyze(const dsl::Program& prog) const;
+  // analyze(prog).clean() without the report: the pipeline gate's
+  // errors-only path, which formats no message and stops at the first
+  // error.
+  bool clean(const dsl::Program& prog) const;
 
   // Deterministic repair: rebinds stale/closed handle refs to live
   // producers (clearing to kNoRef when none exists), clamps scalars into
@@ -89,6 +93,10 @@ class ProgramLint {
   const LintOptions& options() const { return opts_; }
 
  private:
+  // The passes behind analyze() (rep != nullptr) and clean() (rep ==
+  // nullptr). Returns true when the program has no error finding.
+  bool scan(const dsl::Program& prog, LintReport* rep) const;
+
   LintOptions opts_;
 };
 

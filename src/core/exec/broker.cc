@@ -273,12 +273,14 @@ ExecResult Broker::execute_attempt(const dsl::Program& prog,
     for (const auto& svc : dev_.services()) k.kcov_enable(svc->task());
   }
   const uint64_t dmesg_from = k.dmesg().next_seq();
+  crash_marks_.clear();
   for (const auto& svc : dev_.services()) {
-    crash_marks_[svc.get()] = svc->crashes().size();
+    crash_marks_.push_back(svc->crashes().size());
   }
 
   // Run the sequence. Runtime resource values are indexed by call position.
-  std::vector<uint64_t> results(prog.calls.size(), 0);
+  results_.assign(prog.calls.size(), 0);
+  out.rets.reserve(prog.calls.size());
   for (size_t i = 0; i < prog.calls.size(); ++i) {
     const dsl::Call& call = prog.calls[i];
     if (call.desc == nullptr) continue;
@@ -286,14 +288,11 @@ ExecResult Broker::execute_attempt(const dsl::Program& prog,
     const obs::ScopedSpan call_span(spans_, call.desc->name, label_,
                                     executions_);
     const int64_t ret = call.desc->is_hal()
-                            ? run_hal(call, results, produced)
-                            : run_syscall(call, results, produced);
-    results[i] = produced;
+                            ? run_hal(call, results_, produced)
+                            : run_syscall(call, results_, produced);
+    results_[i] = produced;
     out.rets.push_back(ret);
     ++out.calls_executed;
-    CallStat& cs = call_stats_[call.desc->name];
-    ++cs.count;
-    if (ret >= 0) ++cs.ok;
     if (k.panicked()) break;  // device is wedged; stop the program
   }
 
@@ -316,9 +315,9 @@ ExecResult Broker::execute_attempt(const dsl::Program& prog,
 
   out.kernel_reports = k.dmesg().since(dmesg_from);
   out.kernel_bug = !out.kernel_reports.empty();
-  for (const auto& svc : dev_.services()) {
-    const auto& cs = svc->crashes();
-    for (size_t i = crash_marks_[svc.get()]; i < cs.size(); ++i) {
+  for (size_t s = 0; s < dev_.services().size(); ++s) {
+    const auto& cs = dev_.services()[s]->crashes();
+    for (size_t i = crash_marks_[s]; i < cs.size(); ++i) {
       out.hal_crashes.push_back(cs[i]);
       out.hal_crash = true;
     }

@@ -5,7 +5,6 @@
 // one uniform feedback statistic for the fuzzing engine.
 #pragma once
 
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -101,15 +100,6 @@ class Broker {
   bool restore_snapshot(const device::StateSnapshot& snap,
                         std::string* error = nullptr);
 
-  // Per-description execution statistics: (times executed, times ret >= 0).
-  struct CallStat {
-    uint64_t count = 0;
-    uint64_t ok = 0;
-  };
-  const std::map<std::string, CallStat>& call_stats() const {
-    return call_stats_;
-  }
-
  private:
   friend class CampaignCheckpoint;
   friend class InProcessBackend;
@@ -131,8 +121,11 @@ class Broker {
   std::unique_ptr<ExecBackend> backend_;
   FaultInjector* fault_ = nullptr;
   kernel::TaskId native_task_ = 0;
-  std::map<const hal::HalService*, size_t> crash_marks_;
-  std::map<std::string, CallStat> call_stats_;
+  // Per-attempt scratch, kept to reuse its capacity: each service's crash
+  // count before the program (in dev_.services() order) and the call
+  // results resource args resolve against.
+  std::vector<size_t> crash_marks_;
+  std::vector<uint64_t> results_;
   uint64_t executions_ = 0;
 
   obs::Observability* obs_ = nullptr;

@@ -20,6 +20,14 @@ std::vector<uint64_t> FeatureSet::add_new(
   return fresh;
 }
 
+std::map<uint16_t, size_t> FeatureSet::kernel_per_driver() const {
+  std::map<uint16_t, size_t> out;
+  for (uint64_t f : set_.values()) {
+    if (!trace::is_hal_feature(f)) ++out[kernel::cov_driver(f)];
+  }
+  return out;
+}
+
 bool Corpus::add(Seed seed) {
   const uint64_t h = dsl::program_hash(seed.prog);
   if (!hashes_.insert(h)) return false;
@@ -35,7 +43,7 @@ bool Corpus::add(Seed seed) {
       seed.parent_hash = 0;  // parent never made the corpus: a root
     }
   }
-  energies_.push_back(energy(seed));
+  push_energy(seed);
   seeds_.push_back(std::move(seed));
   return true;
 }
@@ -199,7 +207,8 @@ DistillStats Corpus::distill(const FootprintFn& footprint, bool dry_run) {
     }
     seeds_ = std::move(kept);
     energies_.clear();
-    for (const Seed& s : seeds_) energies_.push_back(energy(s));
+    prefix_.assign(1, 0.0);
+    for (const Seed& s : seeds_) push_energy(s);
   }
   return stats;
 }
@@ -211,12 +220,24 @@ double Corpus::energy(const Seed& s) {
   return richness / fatigue;
 }
 
+void Corpus::push_energy(const Seed& s) {
+  energies_.push_back(energy(s));
+  prefix_.push_back(prefix_.back() + energies_.back());
+}
+
 const Seed& Corpus::pick(util::Rng& rng) {
   ++picks_;
-  const size_t i = rng.weighted(energies_);
+  const size_t i = rng.weighted(energies_, prefix_);
   Seed& chosen = seeds_[i];
   ++chosen.hits;
   energies_[i] = energy(chosen);
+  // Only the sums from the picked entry on change; re-add them in the same
+  // left-to-right order, so prefix_.back() stays weight_total(energies_).
+  double sum = prefix_[i];
+  for (size_t j = i; j < energies_.size(); ++j) {
+    sum += energies_[j];
+    prefix_[j + 1] = sum;
+  }
   return chosen;
 }
 

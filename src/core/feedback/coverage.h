@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <vector>
 
 #include "dsl/prog.h"
@@ -35,6 +36,9 @@ class FeatureSet {
   // "kernel coverage" metric for Figs. 4/5 and Table III.
   size_t kernel_size() const { return kernel_count_; }
   size_t hal_size() const { return set_.size() - kernel_count_; }
+  // Kernel features per driver id (kernel::cov_driver; 0 is the core
+  // syscall path) — the per-driver split of Fig. 4.
+  std::map<uint16_t, size_t> kernel_per_driver() const;
 
   // Checkpoint support: every stored feature, ascending. Feeding the result
   // back through add_new() reproduces this set exactly (the underlying
@@ -84,10 +88,12 @@ struct DistillStats {
 // (parent edge, origin, generation depth) so campaigns can explain where
 // coverage came from.
 //
-// Invariant: energies_[i] == energy(seeds_[i]) for every i. A seed's energy
-// changes only when pick() bumps its hits, so pick() recomputes just that
-// entry; the draw itself still scans every energy in insertion order, which
-// keeps each pick bit-identical to rebuilding the vector (DESIGN.md §4).
+// Invariant: energies_[i] == energy(seeds_[i]) for every i, and prefix_
+// holds their running sums in insertion order (energies are positive, so
+// prefix_.back() == util::weight_total(energies_) bit for bit). A seed's
+// energy changes only when pick() bumps its hits, so pick() recomputes that
+// entry and the sums after it; the draw binary-searches the sums and is
+// bit-identical to a scan over rebuilt energies (DESIGN.md §4).
 class Corpus {
  public:
   // Adds a seed if its program hash is unseen. Returns true when added.
@@ -143,9 +149,12 @@ class Corpus {
 
  private:
   static double energy(const Seed& s);
+  // Appends `s`'s energy and the running sum through it.
+  void push_energy(const Seed& s);
 
   std::vector<Seed> seeds_;
-  std::vector<double> energies_;  // parallel to seeds_
+  std::vector<double> energies_;      // parallel to seeds_
+  std::vector<double> prefix_ = {0};  // prefix_[i]: sum of energies_[0, i)
   util::U64Set hashes_;
   uint64_t picks_ = 0;
 };

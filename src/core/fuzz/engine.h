@@ -185,6 +185,7 @@ class Engine {
   // The paper's coverage proxy: cumulative *kernel* features.
   size_t kernel_coverage() const { return features_.kernel_size(); }
   size_t total_coverage() const { return features_.size(); }
+  const FeatureSet& features() const { return features_; }
   const CrashLog& crashes() const { return crash_log_; }
   const Corpus& corpus() const { return corpus_; }
   Corpus& corpus_mutable() { return corpus_; }

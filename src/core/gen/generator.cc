@@ -1,5 +1,7 @@
 #include "core/gen/generator.h"
 
+#include <algorithm>
+
 #include "kernel/syscall.h"
 
 namespace df::core {
@@ -41,6 +43,7 @@ void Generator::refresh_draw_tables() {
   }
   allowed_.total = util::weight_total(allowed_.weights);
   producer_tables_.clear();
+  consumers_.clear();
 }
 
 const CallDesc* Generator::random_allowed_call() {
@@ -49,30 +52,37 @@ const CallDesc* Generator::random_allowed_call() {
   return allowed_.calls[rng_.weighted(allowed_.weights, allowed_.total)];
 }
 
-const CallDesc* Generator::pick_related_or_random(const dsl::Program& prog) {
-  if (!prog.calls.empty() && rng_.prob(cfg_.related_bias)) {
-    // Resource types live in this program.
-    std::vector<std::string_view> types;
-    for (const dsl::Call& c : prog.calls) {
-      if (c.desc != nullptr && !c.desc->produces.empty()) {
-        types.push_back(c.desc->produces);
+const std::vector<size_t>& Generator::consumers_of(const CallDesc* producer) {
+  auto [it, fresh] = consumers_.try_emplace(producer);
+  if (fresh) {
+    for (size_t i = 0; i < allowed_.calls.size(); ++i) {
+      if (allowed_.calls[i]->consumes(producer->produces)) {
+        it->second.push_back(i);
       }
     }
-    if (!types.empty()) {
-      refresh_draw_tables();
-      std::vector<const CallDesc*> related;
-      std::vector<double> w;
-      for (size_t i = 0; i < allowed_.calls.size(); ++i) {
-        const CallDesc* d = allowed_.calls[i];
-        for (std::string_view t : types) {
-          if (d->consumes(t)) {
-            related.push_back(d);
-            w.push_back(allowed_.weights[i]);
-            break;
-          }
-        }
+  }
+  return it->second;
+}
+
+const CallDesc* Generator::pick_related_or_random(const dsl::Program& prog) {
+  if (!prog.calls.empty() && rng_.prob(cfg_.related_bias)) {
+    // Allowed calls consuming a resource type some call of this program
+    // produces, in table order.
+    refresh_draw_tables();
+    std::vector<size_t> related;
+    for (const dsl::Call& c : prog.calls) {
+      if (c.desc != nullptr && !c.desc->produces.empty()) {
+        const std::vector<size_t>& idx = consumers_of(c.desc);
+        related.insert(related.end(), idx.begin(), idx.end());
       }
-      if (!related.empty()) return related[rng_.weighted(w)];
+    }
+    std::sort(related.begin(), related.end());
+    related.erase(std::unique(related.begin(), related.end()), related.end());
+    if (!related.empty()) {
+      std::vector<double> w;
+      w.reserve(related.size());
+      for (size_t i : related) w.push_back(allowed_.weights[i]);
+      return allowed_.calls[related[rng_.weighted(w)]];
     }
   }
   return random_allowed_call();
@@ -378,7 +388,7 @@ Generator::Candidate Generator::next_candidate() {
       cand.origin = obs::ProgramOrigin::kGenerate;
       cand.prog = generate_fresh();
     }
-    if (lint_ == nullptr || lint_->analyze(cand.prog).clean()) return cand;
+    if (lint_ == nullptr || lint_->clean(cand.prog)) return cand;
     // Mutation-side normalization first: rebind unresolved handle refs to
     // the nearest earlier producer so mutated fragments re-link into the
     // program. ProgramLint::repair deliberately leaves kNoRef alone (its
@@ -386,7 +396,7 @@ Generator::Candidate Generator::next_candidate() {
     // idempotence), so the gate owns this step.
     cand.prog.repair_refs();
     lint_->repair(cand.prog);
-    if (lint_->analyze(cand.prog).clean()) {
+    if (lint_->clean(cand.prog)) {
       if (c_repaired_ != nullptr) c_repaired_->inc();
       return cand;
     }

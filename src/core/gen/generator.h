@@ -12,6 +12,8 @@
 
 #include <map>
 #include <string>
+#include <unordered_map>
+#include <vector>
 
 #include "analysis/semantic.h"
 #include "core/feedback/coverage.h"
@@ -102,6 +104,9 @@ class Generator {
   // `prog` produces — this is what lets multi-call protocols on one handle
   // (configure -> start -> transcode) assemble incrementally.
   const dsl::CallDesc* pick_related_or_random(const dsl::Program& prog);
+  // Positions in allowed_ of the calls consuming `producer`'s resource
+  // type, ascending; built on first use.
+  const std::vector<size_t>& consumers_of(const dsl::CallDesc* producer);
   const dsl::CallDesc* choose_producer(std::string_view type);
   dsl::Call instantiate(const dsl::CallDesc* d);
   // Applies one mutation operator; returns its origin tag.
@@ -127,6 +132,8 @@ class Generator {
   // Allowed producers per handle type, weighted by description weight;
   // filled lazily by choose_producer().
   std::map<std::string, DrawTable, std::less<>> producer_tables_;
+  // consumers_of() results, per producing description.
+  std::unordered_map<const dsl::CallDesc*, std::vector<size_t>> consumers_;
   const analysis::ProgramLint* lint_ = nullptr;
   const analysis::GuardIndex* guards_ = nullptr;
   obs::Counter* c_rejected_ = nullptr;

@@ -17,12 +17,12 @@ dsl::Program minimize(const dsl::Program& prog, const StillInteresting& oracle,
     if (best.calls.size() <= 1 || st.oracle_calls >= budget) break;
     dsl::Program cand = best;
     cand.remove_call(idx);
-    if (lint != nullptr && !lint->analyze(cand).clean()) {
+    if (lint != nullptr && !lint->clean(cand)) {
       // remove_call's structural repair can rebind a downstream use to a
       // closed fd (or orphan a ref entirely); fix semantically, and skip
       // the candidate when no repair restores validity.
       lint->repair(cand);
-      if (!lint->analyze(cand).clean()) {
+      if (!lint->clean(cand)) {
         ++st.lint_skipped;
         continue;
       }

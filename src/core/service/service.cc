@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 
 #include "core/fuzz/checkpoint.h"
@@ -138,15 +137,6 @@ std::vector<std::string> path_segments(const std::string& path) {
     pos = next;
   }
   return out;
-}
-
-bool parse_job_id(const std::string& s, uint64_t* out) {
-  if (s.empty()) return false;
-  for (const char c : s) {
-    if (c < '0' || c > '9') return false;
-  }
-  *out = std::strtoull(s.c_str(), nullptr, 10);
-  return true;
 }
 
 }  // namespace
@@ -572,7 +562,7 @@ obs::HttpResponse CampaignService::handle_jobs(const obs::HttpRequest& req) {
   }
 
   uint64_t id = 0;
-  if (seg.size() >= 2 && !parse_job_id(seg[1], &id)) {
+  if (seg.size() >= 2 && !obs::decode_u64(seg[1], &id)) {
     return error_response(404, "bad job id \"" + seg[1] + "\"");
   }
 

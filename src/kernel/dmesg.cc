@@ -1,5 +1,7 @@
 #include "kernel/dmesg.h"
 
+#include <iterator>
+
 namespace df::kernel {
 
 const char* report_kind_name(ReportKind kind) {
@@ -76,11 +78,12 @@ void Dmesg::push(Report r) {
 }
 
 std::vector<Report> Dmesg::since(uint64_t from_seq) const {
-  std::vector<Report> out;
-  for (const Report& r : ring_) {
-    if (r.seq >= from_seq) out.push_back(r);
-  }
-  return out;
+  // The ring holds reports in seq order, so the answer is its tail: walk
+  // back from the newest report only as far as the cursor (usually zero
+  // steps — most executions log nothing).
+  auto first = ring_.end();
+  while (first != ring_.begin() && std::prev(first)->seq >= from_seq) --first;
+  return std::vector<Report>(first, ring_.end());
 }
 
 void Dmesg::clear() {

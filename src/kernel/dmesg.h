@@ -46,8 +46,9 @@ class Dmesg {
   bool panicked() const { return panicked_; }
   void clear_panic() { panicked_ = false; }
 
-  // Reports with seq >= from_seq. Sequence numbers survive ring eviction,
-  // so callers can poll incrementally with from_seq = next_seq().
+  // Retained reports with seq >= from_seq, oldest first. Sequence numbers
+  // survive ring eviction and clear(), so callers poll incrementally with a
+  // cursor taken from next_seq(); the cost is the size of the answer.
   std::vector<Report> since(uint64_t from_seq) const;
   // Sequence number the next report will receive.
   uint64_t next_seq() const { return next_seq_; }

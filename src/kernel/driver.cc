@@ -10,7 +10,7 @@ DriverCtx::DriverCtx(Kernel& kernel, Task& task, Driver& driver)
     : kernel_(kernel), task_(task), driver_(driver) {}
 
 void DriverCtx::cov(uint64_t block) {
-  kernel_.record_cov(driver_.driver_id(), block, task_);
+  task_.kcov.hit(cov_feature(driver_.driver_id(), block));
 }
 
 HeapPtr DriverCtx::kmalloc(size_t size, std::string_view tag) {
@@ -76,25 +76,20 @@ void Driver::state_machine_boot() {
   if (state_visits_.size() != n) {
     state_visits_.assign(n, 0);
     state_matrix_.assign(n * n, 0);
+    states_visited_ = 0;
   }
   cur_state_ = 0;
-  if (n > 0) ++state_visits_[0];
+  if (n > 0 && state_visits_[0]++ == 0) ++states_visited_;
 }
 
 void Driver::enter_state(size_t s) {
   const size_t n = state_visits_.size();
   if (s >= n) return;
-  ++state_visits_[s];
+  if (state_visits_[s]++ == 0) ++states_visited_;
   if (s != cur_state_) {
     ++state_matrix_[cur_state_ * n + s];
     cur_state_ = s;
   }
-}
-
-size_t Driver::states_visited() const {
-  size_t n = 0;
-  for (uint64_t v : state_visits_) n += v > 0 ? 1 : 0;
-  return n;
 }
 
 uint64_t Driver::transitions_observed() const {

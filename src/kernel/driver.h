@@ -12,6 +12,7 @@
 // task and a driver.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -63,7 +64,7 @@ class DriverCtx {
 
   // --- coverage -----------------------------------------------------------
   // Records basic block `block` of the current driver in the task's kcov
-  // buffer and the kernel's cumulative statistics.
+  // buffer.
   void cov(uint64_t block);
   // Parametric block: base + sub encodes per-command / per-state blocks.
   void covp(uint64_t base, uint64_t sub) { cov(base * 1024 + sub); }
@@ -254,7 +255,9 @@ class Driver {
   const std::vector<uint64_t>& state_visits() const { return state_visits_; }
   // Row-major transition counts: matrix[from * n + to], n = state count.
   const std::vector<uint64_t>& state_matrix() const { return state_matrix_; }
-  size_t states_visited() const;
+  // Distinct states entered at least once (kept current by the tallies'
+  // writers, so reading it is free).
+  size_t states_visited() const { return states_visited_; }
   uint64_t transitions_observed() const;  // distinct (from, to) pairs seen
 
   // Static declaration of the same machine: edges with the DSL calls (and
@@ -299,6 +302,9 @@ class Driver {
     if (cur < visits.size()) cur_state_ = cur;
     state_visits_ = std::move(visits);
     state_matrix_ = std::move(matrix);
+    states_visited_ = static_cast<size_t>(std::count_if(
+        state_visits_.begin(), state_visits_.end(),
+        [](uint64_t v) { return v > 0; }));
   }
 
  protected:
@@ -311,6 +317,7 @@ class Driver {
   friend class Kernel;
   uint16_t driver_id_ = 0;
   size_t cur_state_ = 0;
+  size_t states_visited_ = 0;  // nonzero entries of state_visits_
   std::vector<uint64_t> state_visits_;
   std::vector<uint64_t> state_matrix_;
 };

@@ -132,18 +132,6 @@ Driver* Kernel::find_driver(std::string_view name) const {
   return nullptr;
 }
 
-std::unordered_map<uint16_t, size_t> Kernel::per_driver_coverage() const {
-  std::unordered_map<uint16_t, size_t> out;
-  for (uint64_t f : cumulative_cov_) ++out[cov_driver(f)];
-  return out;
-}
-
-void Kernel::record_cov(uint16_t driver_id, uint64_t block, Task& task) {
-  const uint64_t feature = cov_feature(driver_id, block);
-  task.kcov.hit(feature);
-  cumulative_cov_.insert(feature);
-}
-
 Kernel::Cursors Kernel::cursors() const {
   Cursors c;
   c.rng = rng_.state();
@@ -309,8 +297,8 @@ SyscallRes Kernel::syscall(TaskId tid, const SyscallReq& req) {
   ++syscall_count_;
   SyscallRes res = dispatch(*t, req);
   // Core-kernel syscall entry/exit path coverage (driver_id 0).
-  record_cov(0, static_cast<uint64_t>(req.nr) * 8 + outcome_class(res.ret),
-             *t);
+  t->kcov.hit(
+      cov_feature(0, static_cast<uint64_t>(req.nr) * 8 + outcome_class(res.ret)));
   for (auto& [id, hook] : tracepoints_) hook(*t, req, res);
   return res;
 }

@@ -12,7 +12,6 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "kernel/dmesg.h"
@@ -61,8 +60,8 @@ class Kernel {
   // Populates the node registry and probes every driver.
   void boot();
   // Full reboot: closes all files, resets drivers and heap, clears panic,
-  // and re-probes. Tasks survive (their fds do not). Coverage statistics
-  // and dmesg sequence numbers are campaign-global and survive too.
+  // and re-probes. Tasks survive (their fds do not). Syscall counts and
+  // dmesg sequence numbers are campaign-global and survive too.
   void reboot();
   bool booted() const { return booted_; }
 
@@ -111,14 +110,6 @@ class Kernel {
   Driver* find_driver(std::string_view name) const;
   const NodeRegistry& registry() const { return registry_; }
 
-  // Cumulative coverage over the whole campaign (unions per-exec kcov).
-  size_t cumulative_coverage() const { return cumulative_cov_.size(); }
-  const std::unordered_set<uint64_t>& cumulative_coverage_set() const {
-    return cumulative_cov_;
-  }
-  // Cumulative per-driver block counts, keyed by driver_id.
-  std::unordered_map<uint16_t, size_t> per_driver_coverage() const;
-
   uint64_t syscall_count() const { return syscall_count_; }
   uint64_t reboot_count() const { return reboot_count_; }
   std::string_view version() const { return cfg_.version; }
@@ -145,7 +136,7 @@ class Kernel {
   // --- snapshot support (DESIGN.md §13) ---------------------------------------
   // Live kernel state orthogonal to the Cursors block: the RNG position and
   // the mmap handle table + cursor. Campaign-cumulative counters (syscall
-  // and reboot counts, cumulative coverage, dmesg sequence) are deliberately
+  // and reboot counts, dmesg sequence) are deliberately
   // untouched — a snapshot restore rewinds the device, not the campaign.
   void save_live(StateBuf& out) const;
   void load_live(StateReader& in);
@@ -162,7 +153,6 @@ class Kernel {
 
  private:
   friend class DriverCtx;
-  void record_cov(uint16_t driver_id, uint64_t block, Task& task);
   void close_file(Task& task, const std::shared_ptr<File>& f);
   SyscallRes dispatch(Task& task, const SyscallReq& req);
 
@@ -175,7 +165,6 @@ class Kernel {
   std::unordered_map<TaskId, std::unique_ptr<Task>> tasks_;
   std::unordered_map<int, Tracepoint> tracepoints_;
   DriverOpHook driver_op_hook_;
-  std::unordered_set<uint64_t> cumulative_cov_;
   std::unordered_map<uint64_t, uint64_t> mappings_;  // handle -> dummy
   TaskId next_task_ = 1;
   int next_tp_ = 1;

@@ -8,8 +8,8 @@
 // (src/device/snapshot.h) can capture and restore execution state without a
 // reboot + prefix replay.
 //
-// Campaign-cumulative statistics (visit tallies, dmesg sequence numbers,
-// cumulative coverage) are deliberately NOT part of this layer — a restore
+// Campaign-cumulative statistics (visit tallies, dmesg sequence numbers)
+// are deliberately NOT part of this layer — a restore
 // rewinds the device, not the campaign.
 //
 // Encoding is fixed little-endian so section byte images are

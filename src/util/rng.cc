@@ -1,5 +1,6 @@
 #include "util/rng.h"
 
+#include <algorithm>
 #include <numeric>
 
 namespace df::util {
@@ -74,16 +75,48 @@ size_t Rng::weighted(const std::vector<double>& weights) {
   return weighted(weights, weight_total(weights));
 }
 
-size_t Rng::weighted(const std::vector<double>& weights, double total) {
-  if (weights.empty()) return 0;
-  if (total <= 0) return below(weights.size());
-  double pick = uniform() * total;
+size_t weighted_scan(const std::vector<double>& weights, double pick) {
   for (size_t i = 0; i < weights.size(); ++i) {
     const double w = weights[i] > 0 ? weights[i] : 0;
     if (pick < w) return i;
     pick -= w;
   }
   return weights.size() - 1;
+}
+
+size_t weighted_search(const std::vector<double>& weights,
+                       const std::vector<double>& prefix, double pick) {
+  // Entry j is the exact answer when pick < S(j+1) and, for j > 0,
+  // pick >= S(j), with S the exact sums. The scan's remainder after k
+  // subtractions and prefix[k] each sit within k * 2^-53 * total of their
+  // exact values, so a pick at least `slack` (4x the combined bound) from
+  // both neighbouring boundaries gets the scan's index; a closer one is
+  // left to the scan. Sums are non-decreasing, so clearing the boundary
+  // below j clears every earlier one too.
+  const size_t n = weights.size();
+  const double slack =
+      static_cast<double>(n + 1) * prefix.back() * 0x1.0p-50;
+  const size_t j = static_cast<size_t>(
+      std::upper_bound(prefix.begin() + 1, prefix.end(), pick) -
+      prefix.begin() - 1);
+  if (j < n && prefix[j + 1] - pick > slack &&
+      (j == 0 || pick - prefix[j] > slack)) {
+    return j;
+  }
+  return weighted_scan(weights, pick);
+}
+
+size_t Rng::weighted(const std::vector<double>& weights, double total) {
+  if (weights.empty()) return 0;
+  if (total <= 0) return below(weights.size());
+  return weighted_scan(weights, uniform() * total);
+}
+
+size_t Rng::weighted(const std::vector<double>& weights,
+                     const std::vector<double>& prefix) {
+  const double total = prefix.back();
+  if (weights.empty() || total <= 0) return weighted(weights, total);
+  return weighted_search(weights, prefix, uniform() * total);
 }
 
 std::vector<size_t> Rng::permutation(size_t n) {

@@ -16,6 +16,18 @@ namespace df::util {
 // since a different summation order can round differently and move a draw.
 double weight_total(const std::vector<double>& weights);
 
+// The index Rng::weighted selects once its draw is scaled to `pick` in
+// [0, total): the first entry the running remainder falls below, found by
+// subtracting each positive weight in turn.
+size_t weighted_scan(const std::vector<double>& weights, double pick);
+// The same index from running sums kept next to the weights: prefix[i] is
+// weight_total of weights[0, i), summed left to right (so prefix.size() ==
+// weights.size() + 1 and prefix.back() is the total). A binary search finds
+// the boundary; a pick within rounding distance of one goes to
+// weighted_scan, so the answer is always the scan's.
+size_t weighted_search(const std::vector<double>& weights,
+                       const std::vector<double>& prefix, double pick);
+
 // Raw xoshiro256** state, exposed so campaign checkpoints can persist and
 // restore a stream mid-sequence (core/fuzz/checkpoint.h).
 struct RngState {
@@ -53,6 +65,10 @@ class Rng {
   // The same draw for a caller that keeps `total` == weight_total(weights)
   // cached next to its weights: skips the summing scan, nothing else.
   size_t weighted(const std::vector<double>& weights, double total);
+  // The same draw again for a caller that keeps running sums (see
+  // weighted_search): logarithmic instead of a scan.
+  size_t weighted(const std::vector<double>& weights,
+                  const std::vector<double>& prefix);
 
   // Fisher-Yates shuffle of an index permutation [0, n).
   std::vector<size_t> permutation(size_t n);

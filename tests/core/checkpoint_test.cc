@@ -193,6 +193,41 @@ TEST(Checkpoint, EarlyResumeCarriesRebootPersistentDriverState) {
   EXPECT_EQ(want.trace_jsonl, got.trace_jsonl);
 }
 
+// Per-driver coverage (the Fig. 4 split) is counted from the engine's
+// feature set, which the checkpoint carries, so a resume at exec K reports
+// the same per-driver counts as the uninterrupted campaign.
+TEST(Checkpoint, PerDriverCoverageSurvivesResume) {
+  const std::string dir = ::testing::TempDir() + "df_checkpoint_per_driver";
+  CampaignSetup setup;
+  setup.cfg.seed = 9;
+  setup.cfg.workers = 1;
+  setup.cfg.checkpoint_dir = dir;
+  setup.cfg.checkpoint_every = 512;
+  setup.devices = {"A1", "C1"};
+
+  Campaign full(setup);
+  full.daemon.run(1536, 128);
+
+  std::string text, error;
+  ASSERT_TRUE(CampaignCheckpoint::read_file(dir + "/checkpoint.json", &text,
+                                            &error))
+      << error;
+  Campaign resumed(setup);
+  ASSERT_TRUE(resumed.daemon.resume(text, &error)) << error;
+  EXPECT_EQ(resumed.daemon.progress(), 1024u);
+  resumed.daemon.run(1536, 128);
+
+  for (const std::string& id : setup.devices) {
+    const auto want = full.daemon.engine(id)->features().kernel_per_driver();
+    const auto got = resumed.daemon.engine(id)->features().kernel_per_driver();
+    EXPECT_GT(want.size(), 2u) << id;  // the core path plus real drivers
+    EXPECT_EQ(want, got) << id;
+    size_t sum = 0;
+    for (const auto& [drv, n] : got) sum += n;
+    EXPECT_EQ(sum, resumed.daemon.engine(id)->kernel_coverage()) << id;
+  }
+}
+
 // A mid-campaign checkpoint carries the live snapshot images; every daemon
 // resumed from the same document holds the same pool and the same
 // last-good capture, byte for byte.

@@ -500,6 +500,11 @@ TEST(Service, JobApiEndToEnd) {
   EXPECT_EQ(res.status, 200);
   EXPECT_NE(res.body.find("\"state\":\"queued\""), std::string::npos);
   EXPECT_EQ(df::test::http_get(port, "/jobs/12345").status, 404);
+  // An id past 2^64-1 is malformed, not a saturated lookup.
+  res = df::test::http_get(port, "/jobs/18446744073709551616");
+  EXPECT_EQ(res.status, 404);
+  EXPECT_NE(res.body.find("bad job id"), std::string::npos) << res.body;
+  EXPECT_EQ(res.body.find("unknown job"), std::string::npos) << res.body;
 
   // Control actions over HTTP; invalid transitions are 409.
   const std::string base = "/jobs/" + std::to_string(id);

@@ -70,6 +70,59 @@ TEST(Dmesg, RingEvictsOldestButKeepsSeq) {
   EXPECT_EQ(d.next_seq(), 10u);
 }
 
+// The cursor contract the broker relies on: since(c) returns exactly the
+// retained reports with seq >= c, oldest first, whatever the ring evicted.
+TEST(Dmesg, SinceAfterEvictionReturnsRetainedTail) {
+  Dmesg d(4);
+  for (int i = 0; i < 10; ++i) d.warn("a", "f" + std::to_string(i));
+  const auto tail = d.since(8);
+  ASSERT_EQ(tail.size(), 2u);
+  EXPECT_EQ(tail[0].seq, 8u);
+  EXPECT_EQ(tail[0].title, "WARNING in f8");
+  EXPECT_EQ(tail[1].seq, 9u);
+  EXPECT_EQ(tail[1].title, "WARNING in f9");
+}
+
+TEST(Dmesg, SinceOlderThanOldestRetainedReturnsWholeRing) {
+  Dmesg d(4);
+  for (int i = 0; i < 10; ++i) d.warn("a", "f" + std::to_string(i));
+  for (uint64_t from : {0ull, 3ull, 6ull}) {
+    const auto all = d.since(from);
+    ASSERT_EQ(all.size(), 4u) << "from_seq " << from;
+    for (size_t i = 0; i < all.size(); ++i) {
+      EXPECT_EQ(all[i].seq, 6u + i);
+      EXPECT_EQ(all[i].title, "WARNING in f" + std::to_string(6 + i));
+    }
+  }
+}
+
+TEST(Dmesg, SinceNextSeqIsEmpty) {
+  Dmesg d(4);
+  EXPECT_TRUE(d.since(d.next_seq()).empty());
+  for (int i = 0; i < 10; ++i) d.warn("a", "f" + std::to_string(i));
+  EXPECT_TRUE(d.since(d.next_seq()).empty());
+  EXPECT_TRUE(d.since(d.next_seq() + 5).empty());
+}
+
+// clear() empties the ring but numbering is campaign-global and continues, so
+// a cursor taken before it sees only the reports logged after it.
+TEST(Dmesg, SinceAfterClearSeesOnlyNewReports) {
+  Dmesg d(4);
+  for (int i = 0; i < 6; ++i) d.warn("a", "f" + std::to_string(i));
+  const uint64_t before = d.next_seq();
+  d.clear();
+  EXPECT_TRUE(d.since(0).empty());
+  EXPECT_TRUE(d.since(before).empty());
+  d.bug("b", "after reboot");
+  const auto got = d.since(2);
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].seq, 6u);
+  EXPECT_EQ(got[0].title, "BUG: after reboot");
+  EXPECT_TRUE(got[0].fatal);
+  ASSERT_EQ(d.since(before).size(), 1u);
+  EXPECT_TRUE(d.since(7).empty());
+}
+
 TEST(Dmesg, ClearPanicKeepsRing) {
   Dmesg d;
   d.bug("x", "b");

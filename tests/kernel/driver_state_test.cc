@@ -99,6 +99,18 @@ TEST_F(DriverStateTest, TalliesSurviveRebootButCurrentStateResets) {
   const size_t n = drv->state_visits().size();
   EXPECT_EQ(drv->state_matrix()[0 * n + 1], 1u);
   EXPECT_EQ(drv->transitions_observed(), 1u);
+  EXPECT_EQ(drv->states_visited(), 2u);
+}
+
+TEST_F(DriverStateTest, RestoredTalliesRecountVisitedStates) {
+  Rt1711Driver* drv = h.install<Rt1711Driver>();
+  h.boot();
+  const size_t n = drv->state_visits().size();
+  drv->restore_state_tallies(2, {0, 4, 2}, std::vector<uint64_t>(n * n, 0));
+  EXPECT_EQ(drv->states_visited(), 2u);
+  EXPECT_EQ(drv->current_state(), 2u);
+  drv->restore_state_tallies(0, {1}, {});  // wrong shape: ignored
+  EXPECT_EQ(drv->states_visited(), 2u);
 }
 
 TEST_F(DriverStateTest, DriversWithoutAStateMachineStayEmpty) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
 namespace df::kernel {
 namespace {
 
@@ -220,12 +222,12 @@ TEST_F(KernelCoreTest, ExitTaskClosesFds) {
 
 TEST_F(KernelCoreTest, RebootResetsDriversKeepsStats) {
   open_echo();
-  const size_t cov_before = kernel_.cumulative_coverage();
-  EXPECT_GT(cov_before, 0u);
+  const uint64_t syscalls_before = kernel_.syscall_count();
+  EXPECT_GT(syscalls_before, 0u);
   kernel_.reboot();
   EXPECT_EQ(drv_->opens, 0);    // reset() ran
   EXPECT_EQ(drv_->probes, 2);   // re-probed
-  EXPECT_GE(kernel_.cumulative_coverage(), cov_before);  // stats survive
+  EXPECT_EQ(kernel_.syscall_count(), syscalls_before);  // stats survive
   EXPECT_EQ(kernel_.reboot_count(), 1u);
   // fds were force-dropped on reboot.
   SyscallReq req;
@@ -245,9 +247,11 @@ TEST_F(KernelCoreTest, SyscallOnDeadTaskFails) {
 TEST_F(KernelCoreTest, PerDriverCoverageAttribution) {
   kernel_.kcov_enable(task_);
   open_echo();
-  const auto per = kernel_.per_driver_coverage();
-  EXPECT_GT(per.at(drv_->driver_id()), 0u);
-  EXPECT_GT(per.at(0), 0u);  // core kernel pseudo-driver
+  std::map<uint16_t, size_t> per;
+  for (uint64_t f : kernel_.kcov_collect(task_)) ++per[cov_driver(f)];
+  EXPECT_GT(per[drv_->driver_id()], 0u);
+  EXPECT_GT(per[0], 0u);  // core kernel pseudo-driver
+  EXPECT_EQ(per.size(), 2u);
 }
 
 TEST_F(KernelCoreTest, LseekFcntlFsyncGenericPaths) {

@@ -166,6 +166,54 @@ TEST_P(SeededProperty, RepairAndCanonicalizeAreIdempotent) {
   }
 }
 
+// The gate's errors-only path must give the full report's verdict under
+// every option set, on clean programs and on every kind of rot.
+TEST_P(SeededProperty, LintCleanMatchesAnalyze) {
+  auto dev = device::make_device("A1", GetParam());
+  dsl::CallTable table;
+  core::add_syscall_descriptions(table, *dev);
+  core::RelationGraph rel;
+  for (const auto* d : table.all()) rel.add_vertex(d, d->weight);
+  core::Corpus corpus;
+  util::Rng rng(GetParam() * 29 + 5);
+  core::Generator gen(table, rel, corpus, rng, {});
+
+  std::vector<analysis::LintOptions> option_sets(4);
+  option_sets[1].stale_handle_allowance = 1;
+  option_sets[1].dead_statements = false;
+  option_sets[2].use_after_close = false;
+  option_sets[3].type_width = false;
+  option_sets[3].dangling_refs = false;
+
+  size_t clean_seen = 0, unclean_seen = 0;
+  for (int round = 0; round < 80; ++round) {
+    dsl::Program p = gen.generate_fresh();
+    for (size_t i = 0; i < p.calls.size(); ++i) {
+      for (auto& v : p.calls[i].args) {
+        if (rng.chance(1, 6)) v.scalar = rng.next();
+        if (v.ref >= 0 && rng.chance(1, 4)) {
+          v.ref = static_cast<int32_t>(rng.below(p.calls.size() + 1)) - 1;
+        }
+      }
+    }
+    if (rng.chance(1, 8) && !p.calls.empty()) {
+      auto& args = p.calls[rng.below(p.calls.size())].args;
+      if (!args.empty()) args.pop_back();  // arity rot
+    }
+    if (rng.chance(1, 10) && !p.calls.empty()) {
+      p.calls[rng.below(p.calls.size())].desc = nullptr;
+    }
+    for (const analysis::LintOptions& o : option_sets) {
+      const analysis::ProgramLint lint(o);
+      const bool want = lint.analyze(p).clean();
+      ASSERT_EQ(lint.clean(p), want) << dsl::format_program(p);
+      ++(want ? clean_seen : unclean_seen);
+    }
+  }
+  EXPECT_GT(clean_seen, 0u);
+  EXPECT_GT(unclean_seen, 0u);
+}
+
 TEST_P(SeededProperty, CleanProgramsAreRepairFixpoints) {
   auto dev = device::make_device("A2", GetParam());
   dsl::CallTable table;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <iterator>
 #include <set>
 
@@ -141,6 +142,59 @@ TEST(Rng, WeightedWithTotalMatchesWeighted) {
     }
     ASSERT_TRUE(same_state(summed, cached)) << "trial " << trial;
   }
+}
+
+std::vector<double> running_sums(const std::vector<double>& w) {
+  std::vector<double> prefix = {0.0};
+  for (double x : w) prefix.push_back(prefix.back() + (x > 0 ? x : 0));
+  return prefix;
+}
+
+// The running-sums overload is the same draw again: same index, same
+// stream position, on the weight shapes above.
+TEST(Rng, WeightedWithPrefixMatchesWeighted) {
+  Rng gen(53);
+  for (int trial = 0; trial < 3000; ++trial) {
+    std::vector<double> w(gen.below(300));
+    for (double& x : w) {
+      const uint64_t kind = gen.below(4);
+      x = kind == 0   ? 0.0
+          : kind == 1 ? -gen.uniform() * 8.0
+          : kind == 2 ? gen.uniform() * 1e-3
+                      : 1.0 / (1.0 + static_cast<double>(gen.below(7)));
+    }
+    const uint64_t seed = gen.next();
+    Rng scanned(seed), searched(seed);
+    const std::vector<double> prefix = running_sums(w);
+    for (int draw = 0; draw < 4; ++draw) {
+      ASSERT_EQ(scanned.weighted(w), searched.weighted(w, prefix))
+          << "trial " << trial << " draw " << draw;
+    }
+    ASSERT_TRUE(same_state(scanned, searched)) << "trial " << trial;
+  }
+}
+
+// Picks on, and one ulp either side of, every boundary: the cases where
+// the subtracting scan and the sums can round apart, so the search must
+// hand them to the scan.
+TEST(Rng, WeightedSearchMatchesScanAtBoundaries) {
+  Rng gen(59);
+  size_t picks = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<double> w(1 + gen.below(64));
+    for (double& x : w) x = 0.1 * static_cast<double>(1 + gen.below(9));
+    const std::vector<double> prefix = running_sums(w);
+    for (size_t k = 0; k + 1 < prefix.size(); ++k) {
+      for (double pick : {prefix[k], std::nextafter(prefix[k], 0.0),
+                          std::nextafter(prefix[k], prefix.back())}) {
+        if (pick < 0 || pick >= prefix.back()) continue;
+        ASSERT_EQ(weighted_search(w, prefix, pick), weighted_scan(w, pick))
+            << "trial " << trial << " boundary " << k;
+        ++picks;
+      }
+    }
+  }
+  EXPECT_GT(picks, 1000u);
 }
 
 TEST(Rng, WeightTotalSkipsNonPositive) {
