@@ -1,6 +1,5 @@
 #include "core/exec/broker.h"
 
-#include "core/exec/backend.h"
 #include "hal/parcel.h"
 #include "kernel/driver.h"
 
@@ -16,24 +15,18 @@ Broker::Broker(device::Device& dev, const trace::SpecTable& spec)
     : dev_(dev), tracer_(dev.kernel(), spec) {
   native_task_ =
       dev_.kernel().create_task(kernel::TaskOrigin::kNative, "df_executor");
-  backend_ = std::make_unique<InProcessBackend>(*this);
 }
 
 Broker::~Broker() { dev_.kernel().exit_task(native_task_); }
 
-void Broker::set_backend(std::unique_ptr<ExecBackend> backend) {
-  backend_ = backend != nullptr ? std::move(backend)
-                                : std::make_unique<InProcessBackend>(*this);
-}
-
 device::StateSnapshot Broker::capture_snapshot(
     const device::StateSnapshot* parent) {
-  return backend_->capture(parent);
+  return device::capture_snapshot(dev_, native_task_, parent);
 }
 
 bool Broker::restore_snapshot(const device::StateSnapshot& snap,
                               std::string* error) {
-  return backend_->restore(snap, error);
+  return device::restore_snapshot(dev_, native_task_, snap, error);
 }
 
 void Broker::attach_observability(obs::Observability* o,
@@ -210,7 +203,7 @@ std::vector<obs::DriverStateCoverage> snapshot_driver_states(
 }
 
 ExecResult Broker::execute(const dsl::Program& prog, const ExecOptions& opt) {
-  if (fault_ == nullptr) return backend_->run(prog, opt);
+  if (fault_ == nullptr) return execute_attempt(prog, opt);
 
   // Resilient transport loop: one fault decision per attempt. Transport
   // errors are retried with exponential (virtual) backoff up to the policy
@@ -221,7 +214,7 @@ ExecResult Broker::execute(const dsl::Program& prog, const ExecOptions& opt) {
   for (uint32_t attempt = 0;; ++attempt) {
     const device::FaultKind f = fault_->plan().next();
     if (f == device::FaultKind::kNone) {
-      ExecResult out = backend_->run(prog, opt);
+      ExecResult out = execute_attempt(prog, opt);
       out.retries = attempt;
       if (attempt > 0) out.fault = device::FaultKind::kTransportError;
       return out;

@@ -5,7 +5,6 @@
 // one uniform feedback statistic for the fuzzing engine.
 #pragma once
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -19,8 +18,6 @@
 #include "trace/syscall_trace.h"
 
 namespace df::core {
-
-class ExecBackend;
 
 struct ExecOptions {
   bool collect_cov = true;
@@ -85,16 +82,9 @@ class Broker {
   uint64_t executions() const { return executions_; }
   kernel::TaskId native_task() const { return native_task_; }
 
-  // --- ExecBackend seam + snapshots (DESIGN.md §13) -------------------------
-  // Every execution attempt (the unit below the fault retry loop) routes
-  // through the backend; the default InProcessBackend dispatches into the
-  // simulated kernel. Swapping in a SnapshotForkBackend makes each attempt
-  // run from a rewound deep state. The backend must keep targeting this
-  // broker's device.
-  ExecBackend& backend() { return *backend_; }
-  void set_backend(std::unique_ptr<ExecBackend> backend);
+  // --- snapshots (DESIGN.md §13) ---------------------------------------------
   // Snapshot capture/restore of this broker's device, keyed to its native
-  // task (routed through the backend).
+  // task.
   device::StateSnapshot capture_snapshot(
       const device::StateSnapshot* parent = nullptr);
   bool restore_snapshot(const device::StateSnapshot& snap,
@@ -102,7 +92,6 @@ class Broker {
 
  private:
   friend class CampaignCheckpoint;
-  friend class InProcessBackend;
 
   // One reliable-transport execution (the pre-fault-layer execute()).
   ExecResult execute_attempt(const dsl::Program& prog,
@@ -118,7 +107,6 @@ class Broker {
 
   device::Device& dev_;
   trace::DirectionalTracer tracer_;
-  std::unique_ptr<ExecBackend> backend_;
   FaultInjector* fault_ = nullptr;
   kernel::TaskId native_task_ = 0;
   // Per-attempt scratch, kept to reuse its capacity: each service's crash

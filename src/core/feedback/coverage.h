@@ -107,6 +107,7 @@ class Corpus {
   // non-empty corpus.
   const Seed& pick(util::Rng& rng);
   const Seed& at(size_t i) const { return seeds_[i]; }
+  const std::vector<Seed>& seeds() const { return seeds_; }
 
   // Lineage lookups. find_by_hash is a linear scan — adds are rare relative
   // to executions, and callers are on cold paths (crash triage, export).

@@ -19,19 +19,17 @@
 // (check_bench_json.py --compare on the stats export). With checkpointing
 // disabled nothing here runs and campaigns behave exactly as before.
 //
-// Corrupted or truncated checkpoint files are rejected with a descriptive
-// error (obs/json_parse.h), never a crash. restore() reads in writer order:
-// serialize() is the only writer of checkpoints, and a document whose keys
-// are reordered, unknown or missing is rejected naming the expected key.
+// serialize() and restore() run the same walk over the document, each
+// section written once as a template over a Save or a Load archive
+// (checkpoint.cc), so every field is named in one place and the reader
+// cannot drift from the writer. Corrupted or truncated checkpoint files
+// are rejected with a descriptive error (obs/json_parse.h), never a crash;
+// a document whose keys are reordered, unknown or missing is rejected
+// naming the expected key.
 #pragma once
 
 #include <cstdint>
 #include <string>
-
-namespace df::obs {
-class JsonReader;
-class JsonWriter;
-}  // namespace df::obs
 
 namespace df::core {
 
@@ -73,13 +71,13 @@ class CampaignCheckpoint {
                         std::string* error);
 
  private:
-  // Per-device halves; private members so the Engine/Broker friend grants
-  // apply (checkpoint.cc).
-  static void serialize_device(obs::JsonWriter& w, const std::string& id,
-                               Engine& eng);
-  // Reads one device object from just past its "id" member to its end.
-  static bool restore_device(obs::JsonReader& r, Engine& eng,
-                             const std::string& ctx, std::string* error);
+  // The one walk over the document, run in both directions: Ar is the Save
+  // or the Load archive (checkpoint.cc). Private members so the
+  // Daemon/Engine/Broker friend grants apply.
+  template <class Ar>
+  static bool visit(Ar& a, Daemon& daemon);
+  template <class Ar>
+  static bool visit_device(Ar& a, const std::string& id, Engine& eng);
 };
 
 }  // namespace df::core

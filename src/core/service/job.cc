@@ -1,5 +1,6 @@
 #include "core/service/job.h"
 
+#include <charconv>
 #include <set>
 
 #include "device/catalog.h"
@@ -19,9 +20,8 @@ bool known_device(const std::string& id) {
 
 // Counts are decimal numbers decoded strictly: a sign, a fraction, an
 // exponent or a value past 2^64-1 is an error naming the field, not a
-// wrapped or truncated count. Double values round-trip through decimal
-// text; the only double in a spec is fault_rate, where short decimals
-// ("0.01") survive exactly.
+// wrapped or truncated count. The only double in a spec is fault_rate,
+// written in shortest round-trip form so it survives exactly.
 bool read_u64(const obs::JsonValue& v, const char* key, uint64_t* out,
               std::string* error, const char* what = "job spec") {
   if (!v.is_number() || !obs::decode_u64(v.scalar, out)) {
@@ -88,7 +88,12 @@ void JobSpec::write_json(obs::JsonWriter& w) const {
   w.field("slice", slice);
   w.field("sample_every", sample_every);
   w.field("checkpoint_every", checkpoint_every);
-  w.field("fault_rate", fault_rate);
+  // Shortest round-trip text, not JsonWriter's %.6g: the manifest carries
+  // this spec across a restart, and the resumed job must run (and report)
+  // the rate it was submitted with.
+  char buf[32];
+  const char* end = std::to_chars(buf, buf + sizeof buf, fault_rate).ptr;
+  w.key("fault_rate").raw(std::string_view(buf, end - buf));
   w.end_object();
 }
 

@@ -7,9 +7,11 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdlib>
+#include <cstdint>
 #include <cstring>
 #include <utility>
+
+#include "obs/json_parse.h"
 
 namespace df::obs {
 
@@ -227,9 +229,20 @@ void HttpServer::serve_client(int fd) {
   size_t content_length = 0;
   const std::string declared = header_value(head, "Content-Length");
   if (!declared.empty()) {
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(declared.c_str(), &end, 10);
-    if (end == declared.c_str() || v > kMaxBodyBytes) {
+    uint64_t v = 0;
+    if (!decode_u64(declared, &v)) {
+      // Digits past 2^64-1 are a length, just too large; anything else is
+      // not a length at all.
+      if (declared.find_first_not_of("0123456789") != std::string::npos) {
+        HttpResponse r;
+        r.status = 400;
+        r.body = "bad Content-Length\n";
+        send_response(fd, r);
+        return;
+      }
+      v = UINT64_MAX;
+    }
+    if (v > kMaxBodyBytes) {
       HttpResponse r;
       r.status = 413;
       r.body = "request body too large (limit " +

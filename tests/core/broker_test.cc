@@ -57,6 +57,15 @@ TEST_F(BrokerTest, ExecutesSyscallSequenceWithFdPlumbing) {
   EXPECT_EQ(broker_->executions(), 1u);
 }
 
+TEST_F(BrokerTest, RunsAccumulateDeviceState) {
+  const auto first = run("r0 = openat$rt1711()\n");
+  const auto second = run("r0 = openat$rt1711()\n");
+  // Each run leaves its fd open: the numbers march upward.
+  ASSERT_EQ(first.rets.size(), 1u);
+  ASSERT_EQ(second.rets.size(), 1u);
+  EXPECT_LT(first.rets[0], second.rets[0]);
+}
+
 TEST_F(BrokerTest, UnresolvedHandleBecomesBadFd) {
   const auto res = run("ioctl$RT1711_ATTACH(nil, 0x2)\n");
   EXPECT_EQ(res.rets[0], kernel::err::kEBADF);

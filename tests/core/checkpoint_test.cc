@@ -16,6 +16,7 @@
 #include "obs/json.h"
 #include "obs/obs.h"
 #include "obs/stats_reporter.h"
+#include "util/hash.h"
 
 namespace df::core {
 namespace {
@@ -315,6 +316,53 @@ TEST(Checkpoint, SerializeRestoreSerializeIsIdentity) {
     EXPECT_EQ(first_diff, doc.size())
         << "fault_rate " << fault_rate << ": first difference at byte "
         << first_diff;
+  }
+}
+
+// The v4 document pinned by length and FNV-1a hash. The fleet.worker.*_ns
+// counters are wall time, so their values are zeroed before hashing; every
+// other byte is a deterministic function of the campaign. A change to the
+// checkpoint code that keeps v4 must keep these; re-record them (and say
+// why) only when the format or the campaign trajectory changes on purpose
+// (tests/fixtures/README.md).
+constexpr size_t kV4DocumentBytes = 648502;
+constexpr uint64_t kV4DocumentHash = 0xa46315936c82a582ull;
+
+std::string mask_wall_time_counters(std::string doc) {
+  static constexpr std::string_view kName = "\"name\":\"fleet.worker.";
+  static constexpr std::string_view kValue = "\"value\":";
+  for (size_t pos = doc.find(kName); pos != std::string::npos;
+       pos = doc.find(kName, pos + 1)) {
+    const size_t v = doc.find(kValue, pos);
+    if (v == std::string::npos) break;
+    if (doc.find('}', pos) < v) continue;  // a gauge: no "value" member
+    const size_t digits = v + kValue.size();
+    size_t end = digits;
+    while (end < doc.size() && doc[end] >= '0' && doc[end] <= '9') ++end;
+    doc.replace(digits, end - digits, "0");
+  }
+  return doc;
+}
+
+TEST(Checkpoint, V4DocumentMatchesRecordedHash) {
+  CampaignSetup setup;
+  setup.cfg.seed = 42;
+  setup.cfg.engine.fault.rate = 0.02;
+  setup.cfg.checkpoint_dir = ::testing::TempDir() + "df_checkpoint_v4_pin";
+  setup.cfg.checkpoint_every = 1024;
+  setup.devices = {"A1", "C1"};
+  Campaign c(setup);
+  c.daemon.run(2048, 128);
+  ASSERT_EQ(c.daemon.checkpoints_written().size(), 1u);
+  const std::string doc = mask_wall_time_counters(c.daemon.checkpoint_json());
+  const uint64_t hash = util::fnv1a(doc);
+  if (doc.size() != kV4DocumentBytes || hash != kV4DocumentHash) {
+    // Left in the test's working directory (the build tree under ctest)
+    // for diffing against a document written by the recording commit.
+    const std::string path = "checkpoint_v4_actual.json";
+    CampaignCheckpoint::write_file(path, doc, nullptr);
+    ADD_FAILURE() << "v4 document drifted: " << doc.size() << " bytes, hash 0x"
+                  << std::hex << hash << "; written to " << path;
   }
 }
 

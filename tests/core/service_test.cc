@@ -133,10 +133,12 @@ TEST(JobSpec, ValidationRejectsBadSpecs) {
 TEST(JobSpec, JsonRoundTripAndStrictParse) {
   JobSpec s = small_spec(42);
   s.priority = 3;
-  s.fault_rate = 0.01;
+  // Not a short decimal: %.6g text would come back as 0.0123457.
+  s.fault_rate = 0.0123456789;
   JobSpec back;
   std::string error;
   ASSERT_TRUE(JobSpec::from_json(s.to_json(), &back, &error)) << error;
+  EXPECT_EQ(back.fault_rate, s.fault_rate);
   EXPECT_EQ(back.to_json(), s.to_json());
 
   EXPECT_FALSE(JobSpec::from_json("{\"devices\":[\"A1\"]}", &back, &error));

@@ -24,9 +24,8 @@ struct HttpTestResponse {
   std::string body;
 };
 
-inline HttpTestResponse http_request(uint16_t port, const std::string& method,
-                                     const std::string& target,
-                                     const std::string& body = "") {
+// Sends `req` verbatim (head and body) and parses the response.
+inline HttpTestResponse http_raw(uint16_t port, const std::string& req) {
   HttpTestResponse out;
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) return out;
@@ -38,14 +37,6 @@ inline HttpTestResponse http_request(uint16_t port, const std::string& method,
     ::close(fd);
     return out;
   }
-  std::string req = method + " " + target +
-                    " HTTP/1.1\r\nHost: 127.0.0.1\r\n"
-                    "Connection: close\r\n";
-  if (!body.empty() || method == "POST") {
-    req += "Content-Length: " + std::to_string(body.size()) + "\r\n";
-  }
-  req += "\r\n";
-  req += body;
   size_t sent = 0;
   while (sent < req.size()) {
     const ssize_t n = ::send(fd, req.data() + sent, req.size() - sent, 0);
@@ -87,6 +78,19 @@ inline HttpTestResponse http_request(uint16_t port, const std::string& method,
   }
   out.ok = true;
   return out;
+}
+
+inline HttpTestResponse http_request(uint16_t port, const std::string& method,
+                                     const std::string& target,
+                                     const std::string& body = "") {
+  std::string req = method + " " + target +
+                    " HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+                    "Connection: close\r\n";
+  if (!body.empty() || method == "POST") {
+    req += "Content-Length: " + std::to_string(body.size()) + "\r\n";
+  }
+  req += "\r\n";
+  return http_raw(port, req + body);
 }
 
 inline HttpTestResponse http_get(uint16_t port, const std::string& target) {

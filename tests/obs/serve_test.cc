@@ -177,6 +177,37 @@ TEST(HttpServer, OversizedBodyIs413) {
   EXPECT_TRUE(handler_ran);
 }
 
+// Content-Length is a whole decimal count: anything else is a 400, not a
+// "too large" 413 and not a prefix read as the length.
+TEST(HttpServer, MalformedContentLengthIs400) {
+  bool handler_ran = false;
+  HttpServer srv;
+  srv.handle_route("/jobs", [&handler_ran](const HttpRequest&) {
+    handler_ran = true;
+    return HttpResponse{};
+  });
+  ASSERT_TRUE(srv.start(0));
+  const auto post = [&](const std::string& length) {
+    return df::test::http_raw(srv.port(),
+                              "POST /jobs HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+                              "Connection: close\r\nContent-Length: " +
+                                  length + "\r\n\r\nhello");
+  };
+  for (const char* bad : {"abc", "5x", "-5", "+5", "0x5"}) {
+    const auto res = post(bad);
+    ASSERT_TRUE(res.ok) << bad;
+    EXPECT_EQ(res.status, 400) << bad;
+  }
+  EXPECT_FALSE(handler_ran);
+  const auto huge = post("99999999999999999999999");
+  ASSERT_TRUE(huge.ok);
+  EXPECT_EQ(huge.status, 413);
+  const auto ok = post("5");
+  ASSERT_TRUE(ok.ok);
+  EXPECT_EQ(ok.status, 200);
+  EXPECT_TRUE(handler_ran);
+}
+
 TEST(HttpServer, HandlerStatusCodePropagates) {
   HttpServer srv;
   srv.handle("/healthz", [] {
