@@ -2,7 +2,8 @@
 """Compare two BENCH_*.json exports (or directories of them) for
 performance regressions and content drift.
 
-The determinism contract (scripts/check_bench_json.py) splits every bench
+The determinism contract, defined once in scripts/check_bench_json.py and
+imported from there (is_timing_key, strip_timing), splits every bench
 document into two halves:
 
   content  - everything outside "timing"/"secs"/"wall_seconds"/"ts"/"dur"
@@ -49,18 +50,13 @@ import json
 import os
 import sys
 
-TIMING_KEYS = {"timing", "wall_seconds", "secs", "ts", "dur"}
-TIMING_SUFFIXES = ("_ns", "_per_sec")
+from check_bench_json import is_timing_key, strip_timing
 
 # Leaf-name patterns deciding which direction is an improvement.
 HIGHER_BETTER_SUFFIXES = ("_per_sec", "_per_hour")
 HIGHER_BETTER_SUBSTRINGS = ("speedup", "uplift")
 LOWER_BETTER_KEYS = {"wall_seconds", "secs", "ts", "dur"}
 LOWER_BETTER_SUFFIXES = ("_ns", "_ms", "_us")
-
-
-def is_timing_key(key):
-    return key in TIMING_KEYS or key.endswith(TIMING_SUFFIXES)
 
 
 def is_corpus_leaf(path):
@@ -104,15 +100,6 @@ def numeric_leaves(doc):
     out = {}
     _flatten(doc, "", False, out)
     return out
-
-
-def strip_timing(doc):
-    if isinstance(doc, dict):
-        return {k: strip_timing(v) for k, v in doc.items()
-                if not is_timing_key(k)}
-    if isinstance(doc, list):
-        return [strip_timing(v) for v in doc]
-    return doc
 
 
 # Fields of the top-level "build" block that describe the toolchain, not

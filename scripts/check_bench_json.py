@@ -1,66 +1,11 @@
 #!/usr/bin/env python3
 """Validate DroidFuzz telemetry JSON and compare runs for determinism.
 
-Seven document shapes are understood:
-
-  BENCH_*.json           (written by the bench binaries via write_bench_json)
-      {"bench": ..., "seed": ..., "reps": ..., "series": [...],
-       "metrics": {...}, ..., "timing": {...}}
-
-  campaign stats export  (written by examples via --stats-json)
-      {"campaign": {...}, "stats": {...}, "metrics": {...}, "events": [...]}
-
-  Chrome trace export    (written by --trace-out via obs::write_chrome_trace)
-      {"displayTimeUnit": ..., "traceEvents": [{"ph": "M"|"X", ...}, ...]}
-
-  crash provenance       (crash_<hash>.json, written by core::CrashLog)
-      {"crash": {...}, "campaign": {...}, "repro": {...},
-       "driver_states": [...], "kasan_context": {...},
-       "flight_recorder": {...}}
-
-  lint report            (written by examples/df_lint via --json)
-      {"lint": {"tool": "df_lint", "device": ..., "files": [...],
-                "summary": {...}, "plans": [...]}}
-
-  explain report         (written by examples/df_explain via --json)
-      {"report": {"example": "df_explain", ...},
-       "devices": [{"device": ..., "analytics": {...}}, ...],
-       "build": {...}}
-
-  distill report         (written by examples/df_distill via --json)
-      {"distill": {"tool": "df_distill", "seed": ..., "execs": ...,
-                   "devices": [{"device": ..., "before": ...,
-                                "after": ..., "verified": true}, ...]}}
-
-Bench series and lint files may additionally carry "distill" / "dataflow"
-sections (DESIGN.md §12): corpus-distillation stats with the
-after + dropped == before invariant, and per-file dataflow fact counts
-(argument classes, handle lifetimes, stale uses). Both are validated
-whenever present.
-
-Bench and campaign documents may additionally carry "analytics" sections
-(per-operator yield table, seed lineage summary, coverage-frontier
-classification; obs::AnalyticsSnapshot, schema version 2 — v2 added the
-snapshot_fork operator row) and a "build" block (toolchain
-self-identification plus schema versions). Both are validated whenever
-present; bench documents require "build".
-
-Bench documents may also carry a top-level "service" section (DESIGN.md
-§14, written by bench_service_throughput): the preempting scheduler's job
-batch with per-job preemption and queue-wait accounting. The content
-contract is that every preempted job reproduced its uninterrupted
-reference byte-for-byte ("deterministic": true); jobs/hour, preemption
-overhead, and the millisecond queue-wait percentiles are wall-dependent
-and live under "timing".
-
-Bench documents may also carry a top-level "snapshot" section (DESIGN.md
-§13) in one of two shapes: the micro shape written by bench_micro
-(snapshot_bytes / snapshot_sections plus capture/restore/reestablish
-latencies under "timing") and the campaign shape written by
-bench_fleet_parallel / bench_fault_recovery (the ten SnapshotStats
-counters, the snapshots-off determinism flag, and on-vs-off wall rates
-under "timing"). Counter identities — restores == forks +
-fault_recoveries, shared <= total — are enforced as content.
+Seven documents, told apart by a top-level key: BENCH_*.json ("bench"),
+Chrome traces from --trace-out ("traceEvents"), crash_<hash>.json
+provenance reports ("crash"), --stats-json exports ("campaign"), and the
+--json reports of df_lint ("lint"), df_explain ("report") and df_distill
+("distill"). Optional sections are validated whenever present.
 
 Usage:
   check_bench_json.py FILE...            validate each document
@@ -68,54 +13,46 @@ Usage:
                                          stripping wall-clock fields
   check_bench_json.py --self-test        run the built-in unit checks
 
-Determinism contract (DESIGN.md "Observability"): everything wall-dependent
-lives under keys named "timing", "wall_seconds", "secs", or ending in "_ns"
-or "_per_sec"; Chrome traces additionally quarantine wall-clock under the
-format's "ts"/"dur" fields. Stripping those keys must make two
-identically-seeded runs byte-identical. Counters/gauges whose *metric name*
-ends in "_ns" or "_per_sec" carry wall-dependent values, so the snapshot
-serializes them under "value_ns"/"value_per_sec" instead of "value" — the
-checker enforces the key choice matches the name.
+How the checker is built: every document and section shape is written
+once, as a literal, in the SHAPES section below, and walk() applies it.
+The combinators are obj({...}) for an object, arr(item) for an array,
+pick(...) for a shape chosen by the key an object carries, and scalar
+kinds (NAT, POS, STR, TEXT, BOOL, TRUE, NUM, HEX16, enum(...)). An
+object is open (other members are allowed) unless closed=True, which
+allows no other members but timing keys: a section whose wall-clock must
+live under "timing". A member key ending in "?" is optional.
+
+  - A new field is one line in its shape: "seeds": NAT.
+  - A new invariant that relates fields is one rule, usually
+    holds(test, "what must hold"), in the rules=[...] of the smallest
+    shape holding every field it reads. A rule is any function of
+    (value, path) that raises CheckError; it runs after that shape's
+    members have passed, so it may rely on their kinds.
+
+Every error names the dotted JSON path of the offending value
+("series[0].analytics.operators[3].accepts must be a non-negative int").
+
+Determinism contract (DESIGN.md "Observability"), defined here once and
+imported by bench_diff.py: everything wall-dependent lives under the
+TIMING_KEYS ("ts"/"dur" being the Chrome trace format's) or keys ending
+in a TIMING_SUFFIX. Stripping those keys must make two identically-seeded
+runs byte-identical. A counter/gauge whose *name* ends in a timing suffix
+carries a wall-dependent value, so it serializes under "value_ns" or
+"value_per_sec" instead of "value", as the checker enforces.
 """
 
 import json
 import sys
+from functools import reduce
+from operator import getitem
+from typing import Callable, NamedTuple
 
 TIMING_KEYS = {"timing", "wall_seconds", "secs", "ts", "dur"}
 TIMING_SUFFIXES = ("_ns", "_per_sec")
 
-SERIES_ARRAYS = ("executions", "kernel_coverage", "total_coverage",
-                 "corpus", "bugs")
-LINT_PASSES = ("use-after-close", "dangling-ref", "type-width",
-               "dead-statement")
-LINT_SEVERITIES = ("error", "warning")
-STATS_ARRAYS = SERIES_ARRAYS[:2] + ("total_coverage", "corpus", "bugs",
-                                    "relation_edges", "reboots")
-
-# ProgramOrigin wire names in enum order (obs/analytics.h); the exported
-# operator table must carry exactly these rows, in this order.
-ORIGINS = ("generate", "mutate_arg", "mutate_insert", "mutate_remove",
-           "mutate_duplicate", "mutate_splice", "mutate_rewire",
-           "plan_injected", "minimized", "replay", "snapshot_fork")
-FRONTIER_CLASSES = ("unreachable-from-frontier", "planned-but-failed",
-                    "never-attempted")
-# v2 added the snapshot_fork operator row (DESIGN.md §13).
-ANALYTICS_SCHEMA_VERSION = 2
-SERIES_POINT_FIELDS = ("executions", "kernel_coverage", "total_coverage",
-                       "corpus_size", "unique_bugs", "states_visited")
-
 
 def is_timing_key(key):
     return key in TIMING_KEYS or key.endswith(TIMING_SUFFIXES)
-
-
-def metric_value_key(name):
-    """Snapshot key a counter/gauge named `name` must serialize under."""
-    if name.endswith("_ns"):
-        return "value_ns"
-    if name.endswith("_per_sec"):
-        return "value_per_sec"
-    return "value"
 
 
 def strip_timing(doc):
@@ -137,1189 +74,695 @@ def require(cond, msg):
         raise CheckError(msg)
 
 
-def check_monotone(name, values):
-    require(all(b >= a for a, b in zip(values, values[1:])),
-            f"{name} must be non-decreasing, got {values}")
+# --- combinators and the walker ----------------------------------------------
+
+class Kind(NamedTuple):
+    """A scalar value for which test(value) holds."""
+    what: str
+    test: Callable
 
 
-def check_state_coverage(entries, where):
-    """Per-driver state-machine coverage matrices (DriverStateCoverage)."""
-    require(isinstance(entries, list) and entries,
-            f"{where} must be a non-empty array")
-    for i, cov in enumerate(entries):
-        cwhere = f"{where}[{i}]"
-        require(isinstance(cov, dict), f"{cwhere} must be an object")
-        require(isinstance(cov.get("driver"), str) and cov["driver"],
-                f"{cwhere}.driver must be a non-empty string")
-        states = cov.get("states")
-        require(isinstance(states, list) and states
-                and all(isinstance(s, str) and s for s in states),
-                f"{cwhere}.states must be a non-empty array of state names")
-        n = len(states)
-        require(cov.get("current") in states,
-                f"{cwhere}.current must name one of the states")
-        visits = cov.get("visits")
-        require(isinstance(visits, list) and len(visits) == n
-                and all(isinstance(v, int) and v >= 0 for v in visits),
-                f"{cwhere}.visits must be {n} non-negative ints")
-        matrix = cov.get("matrix")
-        require(isinstance(matrix, list) and len(matrix) == n
-                and all(isinstance(row, list) and len(row) == n
-                        and all(isinstance(v, int) and v >= 0 for v in row)
-                        for row in matrix),
-                f"{cwhere}.matrix must be a {n}x{n} array of non-negative "
-                f"ints")
-        visited = sum(1 for v in visits if v > 0)
-        require(cov.get("states_visited") == visited,
-                f"{cwhere}.states_visited must equal the number of states "
-                f"with visits > 0 ({visited})")
-        transitions = sum(1 for row in matrix for v in row if v > 0)
-        require(cov.get("transitions_observed") == transitions,
-                f"{cwhere}.transitions_observed must equal the number of "
-                f"non-zero matrix cells ({transitions})")
+class Obj(NamedTuple):
+    fields: tuple   # (name, required, shape) per declared member
+    extra: object   # other members: any value, timing keys only, or a shape
+    rules: tuple
 
 
-def check_operators(ops, where):
-    """Per-operator yield table (obs::OperatorAttribution::write_json)."""
-    require(isinstance(ops, list) and len(ops) == len(ORIGINS),
-            f"{where} must be an array of exactly {len(ORIGINS)} rows")
-    for i, row in enumerate(ops):
-        rwhere = f"{where}[{i}]"
-        require(isinstance(row, dict), f"{rwhere} must be an object")
-        require(row.get("origin") == ORIGINS[i],
-                f"{rwhere}.origin must be {ORIGINS[i]!r} (enum order), "
-                f"got {row.get('origin')!r}")
-        for key in ("attempts", "total_calls", "accepts", "new_features",
-                    "new_states", "bugs"):
-            require(isinstance(row.get(key), int) and row[key] >= 0,
-                    f"{rwhere}.{key} must be a non-negative int")
-        require(row["accepts"] <= row["attempts"],
-                f"{rwhere}: accepts ({row['accepts']}) cannot exceed "
-                f"attempts ({row['attempts']})")
-        require(isinstance(row.get("mean_cost"), (int, float))
-                and row["mean_cost"] >= 0,
-                f"{rwhere}.mean_cost must be a non-negative number")
-        if row["attempts"] == 0:
-            require(row["mean_cost"] == 0,
-                    f"{rwhere}.mean_cost must be 0 with no attempts")
+class Arr(NamedTuple):
+    item: object
+    nonempty: bool = False
+    rules: tuple = ()
 
 
-def check_lineage_link(link, where, last_depth):
-    """One LineageLink of a derivation chain; returns its depth."""
-    require(isinstance(link, dict), f"{where} must be an object")
-    h = link.get("hash")
-    require(isinstance(h, str) and len(h) == 16
-            and all(c in "0123456789abcdef" for c in h),
-            f"{where}.hash must be 16 lowercase hex digits")
-    require(link.get("origin") in ORIGINS,
-            f"{where}.origin must be a ProgramOrigin wire name, "
-            f"got {link.get('origin')!r}")
-    for key in ("exec_index", "depth"):
-        require(isinstance(link.get(key), int) and link[key] >= 0,
-                f"{where}.{key} must be a non-negative int")
-    if last_depth is not None:
-        require(link["depth"] > last_depth,
-                f"{where}.depth must be strictly increasing along the "
-                f"chain (root first)")
-    return link["depth"]
+class Pick(NamedTuple):
+    """The shape of the first case whose key the object carries, else the
+    default (None: the value must carry one of the keys)."""
+    cases: tuple
+    default: object
 
 
-def check_lineage_chain(chain, where):
-    require(isinstance(chain, list), f"{where} must be an array")
-    depth = None
-    for i, link in enumerate(chain):
-        depth = check_lineage_link(link, f"{where}[{i}]", depth)
+def number(what, ok=lambda v: True):
+    return Kind(what, lambda v: isinstance(v, (int, float)) and ok(v))
 
 
-def check_lineage_summary(lin, where):
-    """Corpus lineage digest (obs::LineageSummary::write_json)."""
-    require(isinstance(lin, dict), f"{where} must be an object")
-    for key in ("seeds", "roots", "max_depth"):
-        require(isinstance(lin.get(key), int) and lin[key] >= 0,
-                f"{where}.{key} must be a non-negative int")
-    require(lin["roots"] <= lin["seeds"],
-            f"{where}.roots ({lin['roots']}) cannot exceed seeds "
-            f"({lin['seeds']})")
-    hist = lin.get("depth_histogram")
-    require(isinstance(hist, list)
-            and all(isinstance(v, int) and v >= 0 for v in hist),
-            f"{where}.depth_histogram must be an array of non-negative ints")
-    require(sum(hist) == lin["seeds"],
-            f"{where}.depth_histogram must sum to seeds ({lin['seeds']})")
-    if lin["seeds"] > 0:
-        require(len(hist) == lin["max_depth"] + 1,
-                f"{where}.depth_histogram must have max_depth+1 "
-                f"({lin['max_depth'] + 1}) buckets")
-    ancestors = lin.get("top_ancestors")
-    require(isinstance(ancestors, list),
-            f"{where}.top_ancestors must be an array")
-    for i, a in enumerate(ancestors):
-        awhere = f"{where}.top_ancestors[{i}]"
-        require(isinstance(a, dict), f"{awhere} must be an object")
-        h = a.get("hash")
-        require(isinstance(h, str) and len(h) == 16
-                and all(c in "0123456789abcdef" for c in h),
-                f"{awhere}.hash must be 16 lowercase hex digits")
-        for key in ("exec_index", "descendants", "subtree_new_features"):
-            require(isinstance(a.get(key), int) and a[key] >= 0,
-                    f"{awhere}.{key} must be a non-negative int")
+def enum(*choices):
+    what = f"one of {choices}" if len(choices) > 1 else repr(choices[0])
+    return Kind(what, lambda v: v in choices)
 
 
-def check_frontier(fr, where):
-    """Coverage-frontier report (obs::FrontierReport::write_json): every
-    declared-but-unvisited state classified into exactly one of the three
-    classes, with counters consistent with the class."""
-    require(isinstance(fr, dict), f"{where} must be an object")
-    for key in ("states_total", "states_visited"):
-        require(isinstance(fr.get(key), int) and fr[key] >= 0,
-                f"{where}.{key} must be a non-negative int")
-    require(fr["states_visited"] <= fr["states_total"],
-            f"{where}.states_visited cannot exceed states_total")
-    unvisited = fr.get("unvisited")
-    require(isinstance(unvisited, list),
-            f"{where}.unvisited must be an array")
-    want = fr["states_total"] - fr["states_visited"]
-    require(len(unvisited) == want,
-            f"{where}.unvisited must classify every unvisited state "
-            f"({want} entries, got {len(unvisited)})")
-    for i, s in enumerate(unvisited):
-        swhere = f"{where}.unvisited[{i}]"
-        require(isinstance(s, dict), f"{swhere} must be an object")
-        for key in ("driver", "state"):
-            require(isinstance(s.get(key), str) and s[key],
-                    f"{swhere}.{key} must be a non-empty string")
-        for key in ("state_index", "plan_length", "plans_injected",
-                    "materialize_failed", "executed_no_visit"):
-            require(isinstance(s.get(key), int) and s[key] >= 0,
-                    f"{swhere}.{key} must be a non-negative int")
-        cls = s.get("class")
-        require(cls in FRONTIER_CLASSES,
-                f"{swhere}.class must be one of {FRONTIER_CLASSES}, "
-                f"got {cls!r}")
-        attempts = (s["plans_injected"] + s["materialize_failed"]
-                    + s["executed_no_visit"])
-        if cls == "never-attempted":
-            require(attempts == 0,
-                    f"{swhere}: never-attempted cannot carry plan-attempt "
-                    f"counters")
-        elif cls == "planned-but-failed":
-            require(attempts > 0,
-                    f"{swhere}: planned-but-failed must carry at least one "
-                    f"plan-attempt counter")
-        else:  # unreachable-from-frontier
-            require(s["plan_length"] == 0,
-                    f"{swhere}: unreachable state cannot carry a plan")
+# The int kinds accept bools, as isinstance(True, int) does.
+ANY = Kind("anything", lambda v: True)
+INT = Kind("an int", lambda v: isinstance(v, int))
+NAT = Kind("a non-negative int", lambda v: isinstance(v, int) and v >= 0)
+POS = Kind("a positive int", lambda v: isinstance(v, int) and v > 0)
+STR = Kind("a non-empty string", lambda v: isinstance(v, str) and v != "")
+TEXT = Kind("a string", lambda v: isinstance(v, str))
+BOOL = Kind("a bool", lambda v: isinstance(v, bool))
+TRUE = Kind("true", lambda v: v is True)
+NUM = number("a number")
+NONNEG_NUM = number("a non-negative number", lambda v: v >= 0)
+POS_NUM = number("a positive number", lambda v: v > 0)
+FRACTION = number("a number in [0, 1]", lambda v: 0 <= v <= 1)
+HEX16 = Kind("16 lowercase hex digits",
+             lambda v: isinstance(v, str) and len(v) == 16
+             and all(c in "0123456789abcdef" for c in v))
+TIMING_ONLY = object()  # Obj.extra of a closed object
 
 
-def check_analytics_series(points, where):
-    """Downsampled campaign time series inside an analytics snapshot."""
-    require(isinstance(points, list), f"{where} must be an array")
-    last_execs = 0
-    last_secs = 0.0
-    for i, p in enumerate(points):
-        pwhere = f"{where}[{i}]"
-        require(isinstance(p, dict), f"{pwhere} must be an object")
-        for key in SERIES_POINT_FIELDS:
-            require(isinstance(p.get(key), int) and p[key] >= 0,
-                    f"{pwhere}.{key} must be a non-negative int")
-        require(p["executions"] >= last_execs,
-                f"{pwhere}.executions must be non-decreasing")
-        last_execs = p["executions"]
-        timing = p.get("timing")
-        require(isinstance(timing, dict)
-                and isinstance(timing.get("secs"), (int, float)),
-                f"{pwhere}.timing.secs must be a number")
-        require(timing["secs"] >= last_secs,
-                f"{pwhere}.timing.secs must be non-decreasing")
-        last_secs = timing["secs"]
+def obj(fields, closed=False, values=ANY, rules=()):
+    """`fields` maps member keys to shapes ("key?": optional); any other
+    member must match `values`, or be a timing key when closed."""
+    return Obj(tuple((key.rstrip("?"), not key.endswith("?"), shape)
+                     for key, shape in fields.items()),
+               TIMING_ONLY if closed else values, rules)
 
 
-def check_analytics(a, where="analytics"):
-    """One obs::AnalyticsSnapshot (operators + lineage + frontier)."""
-    require(isinstance(a, dict), f"{where} must be an object")
-    require(a.get("schema_version") == ANALYTICS_SCHEMA_VERSION,
-            f"{where}.schema_version must be {ANALYTICS_SCHEMA_VERSION}, "
-            f"got {a.get('schema_version')!r}")
-    check_operators(a.get("operators"), f"{where}.operators")
-    check_lineage_summary(a.get("lineage"), f"{where}.lineage")
-    check_frontier(a.get("frontier"), f"{where}.frontier")
-    if "series" in a:
-        check_analytics_series(a["series"], f"{where}.series")
+arr = Arr
 
 
-def check_device_analytics(section, where="analytics"):
-    """Top-level per-device analytics array (--stats-json, df_explain)."""
-    require(isinstance(section, dict), f"{where} must be an object")
-    devices = section.get("devices")
-    require(isinstance(devices, list) and devices,
-            f"{where}.devices must be a non-empty array")
-    for i, dev in enumerate(devices):
-        dwhere = f"{where}.devices[{i}]"
-        require(isinstance(dev, dict), f"{dwhere} must be an object")
-        require(isinstance(dev.get("device"), str) and dev["device"],
-                f"{dwhere}.device must be a non-empty string")
-        check_analytics(dev.get("analytics"), f"{dwhere}.analytics")
+def pick(*cases, default=None):
+    return Pick(cases, default)
 
 
-def check_build(b, where="build"):
-    """Build self-identification block (obs::write_build_json)."""
-    require(isinstance(b, dict), f"{where} must be an object")
-    require(isinstance(b.get("compiler"), str) and b["compiler"],
-            f"{where}.compiler must be a non-empty string")
-    for key in ("compiler_version", "build_type", "sanitizer", "flags"):
-        require(isinstance(b.get(key), str),
-                f"{where}.{key} must be a string")
-    require(isinstance(b.get("cxx_standard"), int) and b["cxx_standard"] > 0,
-            f"{where}.cxx_standard must be a positive int")
-    require(isinstance(b.get("assertions"), bool),
-            f"{where}.assertions must be a bool")
-    schema = b.get("schema")
-    require(isinstance(schema, dict), f"{where}.schema must be an object")
-    for name, version in schema.items():
-        require(isinstance(version, int) and version >= 1,
-                f"{where}.schema.{name} must be a positive int version")
+def many(shape, *keys):
+    """Members `keys` all of one shape, for splicing into obj({...})."""
+    return dict.fromkeys(keys, shape)
 
 
-DISTILL_COUNTS = ("before", "after", "dropped_static", "dropped_covered",
-                  "footprint_union")
+def join(path, key):
+    return f"{path}.{key}" if path else key
 
 
-def check_distill_counts(d, where):
-    """Shared distillation-stat invariants (core::DistillStats)."""
-    require(isinstance(d, dict), f"{where} must be an object")
-    for key in DISTILL_COUNTS:
-        require(isinstance(d.get(key), int) and d[key] >= 0,
-                f"{where}.{key} must be a non-negative int")
-    require(d["after"] + d["dropped_static"] + d["dropped_covered"]
-            == d["before"],
-            f"{where}: after + dropped_static + dropped_covered must equal "
-            f"before ({d['before']})")
-    frac = d.get("fraction_dropped")
-    require(isinstance(frac, (int, float)) and 0 <= frac <= 1,
-            f"{where}.fraction_dropped must be a number in [0, 1]")
-    want = ((d["before"] - d["after"]) / d["before"]) if d["before"] else 0.0
-    # The emitter prints doubles at 6 significant digits (%.6g).
-    require(abs(frac - want) < 1e-6,
-            f"{where}.fraction_dropped must equal (before - after) / before "
-            f"({want})")
-    require(isinstance(d.get("verified"), bool),
-            f"{where}.verified must be a bool")
-    if d["verified"]:
-        require(d["footprint_union"] > 0,
-                f"{where}: replay verification implies a non-empty "
-                f"footprint union")
+def fail(path, what):
+    raise CheckError(f"{path or 'document'} {what}")
 
 
-def check_distill_stats(d, where="distill"):
-    """One "distill" block inside a bench series or /status device."""
-    check_distill_counts(d, where)
-    require(isinstance(d.get("dry_run"), bool),
-            f"{where}.dry_run must be a bool")
-
-
-def check_distill_doc(doc):
-    """df_distill --json report: per-device destructive distillation with a
-    mandatory replay-verification pass (the bit-identical-coverage
-    contract; df_distill itself exits non-zero on a mismatch)."""
-    rep = doc.get("distill")
-    require(isinstance(rep, dict), "distill must be an object")
-    require(rep.get("tool") == "df_distill",
-            "distill.tool must be 'df_distill'")
-    require(isinstance(rep.get("seed"), int), "distill.seed must be an int")
-    require(isinstance(rep.get("execs"), int) and rep["execs"] > 0,
-            "distill.execs must be a positive int")
-    devices = rep.get("devices")
-    require(isinstance(devices, list) and devices,
-            "distill.devices must be a non-empty array")
-    for i, dev in enumerate(devices):
-        dwhere = f"distill.devices[{i}]"
-        require(isinstance(dev, dict), f"{dwhere} must be an object")
-        require(isinstance(dev.get("device"), str) and dev["device"],
-                f"{dwhere}.device must be a non-empty string")
-        require(isinstance(dev.get("executions"), int)
-                and dev["executions"] >= 0,
-                f"{dwhere}.executions must be a non-negative int")
-        check_distill_counts(dev, dwhere)
-        require(dev["verified"] is True,
-                f"{dwhere}.verified must be true: the distilled corpus must "
-                f"replay to bit-identical coverage")
-
-
-def check_lint_dataflow(df, where):
-    """Per-file dataflow fact counts (analysis/dataflow.h via df_lint)."""
-    require(isinstance(df, dict), f"{where} must be an object")
-    classes = df.get("arg_classes")
-    require(isinstance(classes, dict),
-            f"{where}.arg_classes must be an object")
-    for key in ("guard_relevant", "shape_relevant", "dead"):
-        require(isinstance(classes.get(key), int) and classes[key] >= 0,
-                f"{where}.arg_classes.{key} must be a non-negative int")
-    lifetimes = df.get("lifetimes")
-    require(isinstance(lifetimes, dict),
-            f"{where}.lifetimes must be an object")
-    for key in ("live", "closed", "leaked"):
-        require(isinstance(lifetimes.get(key), int) and lifetimes[key] >= 0,
-                f"{where}.lifetimes.{key} must be a non-negative int")
-    require(isinstance(df.get("stale_uses"), int) and df["stale_uses"] >= 0,
-            f"{where}.stale_uses must be a non-negative int")
-
-
-def check_bug_list(bugs, where):
-    """Named-bug list with lineage chains (bench_table2_bugs)."""
-    require(isinstance(bugs, list), f"{where} must be an array")
-    for i, b in enumerate(bugs):
-        bwhere = f"{where}[{i}]"
-        require(isinstance(b, dict), f"{bwhere} must be an object")
-        for key in ("device", "title", "component", "origin", "class"):
-            require(isinstance(b.get(key), str) and b[key],
-                    f"{bwhere}.{key} must be a non-empty string")
-        for key in ("first_exec", "dup_count"):
-            require(isinstance(b.get(key), int) and b[key] >= 0,
-                    f"{bwhere}.{key} must be a non-negative int")
-        chain = b.get("lineage")
-        require(isinstance(chain, list) and chain,
-                f"{bwhere}.lineage must be a non-empty derivation chain "
-                f"ending in the triggering program")
-        check_lineage_chain(chain, f"{bwhere}.lineage")
-
-
-def check_series_entry(i, entry):
-    where = f"series[{i}]"
-    require(isinstance(entry, dict), f"{where} must be an object")
-    for key in ("device", "config"):
-        require(isinstance(entry.get(key), str) and entry[key],
-                f"{where}.{key} must be a non-empty string")
-    lengths = set()
-    for key in SERIES_ARRAYS:
-        arr = entry.get(key)
-        require(isinstance(arr, list) and arr,
-                f"{where}.{key} must be a non-empty array")
-        require(all(isinstance(v, int) and v >= 0 for v in arr),
-                f"{where}.{key} must hold non-negative integers")
-        lengths.add(len(arr))
-    require(len(lengths) == 1,
-            f"{where}: all series arrays must share one length, got {lengths}")
-    for key in ("executions", "kernel_coverage", "total_coverage", "bugs"):
-        check_monotone(f"{where}.{key}", entry[key])
-    if "state_coverage" in entry:
-        check_state_coverage(entry["state_coverage"],
-                             f"{where}.state_coverage")
-    if "analytics" in entry:
-        check_analytics(entry["analytics"], f"{where}.analytics")
-    if "distill" in entry:
-        check_distill_stats(entry["distill"], f"{where}.distill")
-
-
-def check_metric_value(entry, where, integer):
-    """Counter/gauge value: under the key the metric *name* dictates."""
-    key = metric_value_key(entry["name"])
-    for other in ("value", "value_ns", "value_per_sec"):
-        if other != key:
-            require(other not in entry,
-                    f"{where}.{other}: metric {entry['name']!r} must "
-                    f"serialize under {key!r}")
-    if integer:
-        require(isinstance(entry.get(key), int) and entry[key] >= 0,
-                f"{where}.{key} must be a non-negative int")
-    else:
-        require(isinstance(entry.get(key), (int, float)),
-                f"{where}.{key} must be a number")
-
-
-def check_metrics(metrics, where="metrics"):
-    require(isinstance(metrics, dict), f"{where} must be an object")
-    for section in ("counters", "gauges", "histograms"):
-        require(isinstance(metrics.get(section), list),
-                f"{where}.{section} must be an array")
-    for i, c in enumerate(metrics["counters"]):
-        require(isinstance(c.get("name"), str) and c["name"],
-                f"{where}.counters[{i}].name must be a non-empty string")
-        check_metric_value(c, f"{where}.counters[{i}]", integer=True)
-    for i, g in enumerate(metrics["gauges"]):
-        require(isinstance(g.get("name"), str) and g["name"],
-                f"{where}.gauges[{i}].name must be a non-empty string")
-        check_metric_value(g, f"{where}.gauges[{i}]", integer=False)
-    for i, h in enumerate(metrics["histograms"]):
-        require(isinstance(h.get("name"), str) and h["name"],
-                f"{where}.histograms[{i}].name must be a non-empty string")
-        require(isinstance(h.get("count"), int) and h["count"] >= 0,
-                f"{where}.histograms[{i}].count must be a non-negative int")
-        for key in h:
-            if key in ("name", "label", "count"):
-                continue
-            require(is_timing_key(key),
-                    f"{where}.histograms[{i}].{key}: wall-dependent "
-                    f"histogram fields must be *_ns")
-
-
-def check_stats(stats, where="stats"):
-    require(isinstance(stats, dict), f"{where} must be an object")
-    require(isinstance(stats.get("sample_every"), int)
-            and stats["sample_every"] > 0,
-            f"{where}.sample_every must be a positive int")
-    devices = stats.get("devices")
-    require(isinstance(devices, list) and devices,
-            f"{where}.devices must be a non-empty array")
-    for i, dev in enumerate(devices):
-        dwhere = f"{where}.devices[{i}]"
-        require(isinstance(dev.get("device"), str) and dev["device"],
-                f"{dwhere}.device must be a non-empty string")
-        lengths = set()
-        for key in STATS_ARRAYS:
-            arr = dev.get(key)
-            require(isinstance(arr, list),
-                    f"{dwhere}.{key} must be an array")
-            lengths.add(len(arr))
-        require(len(lengths) == 1,
-                f"{dwhere}: array length mismatch {lengths}")
-        check_monotone(f"{dwhere}.executions", dev["executions"])
-        if "state_coverage" in dev:
-            check_state_coverage(dev["state_coverage"],
-                                 f"{dwhere}.state_coverage")
-    agg = stats.get("aggregate")
-    require(isinstance(agg, dict), f"{where}.aggregate must be an object")
-    n = min(len(d["executions"]) for d in devices)
-    require(len(agg.get("executions", [])) == n,
-            f"{where}.aggregate.executions must have {n} points "
-            f"(shortest device series)")
-    for i in range(n):
-        want = sum(d["executions"][i] for d in devices)
-        require(agg["executions"][i] == want,
-                f"{where}.aggregate.executions[{i}] = "
-                f"{agg['executions'][i]}, expected sum {want}")
-
-
-def check_events(events, where="events"):
-    require(isinstance(events, list), f"{where} must be an array")
-    for i, ev in enumerate(events):
-        require(isinstance(ev, dict), f"{where}[{i}] must be an object")
-        require(isinstance(ev.get("event"), str) and ev["event"],
-                f"{where}[{i}].event must be a non-empty string")
-        require(isinstance(ev.get("exec"), int) and ev["exec"] >= 0,
-                f"{where}[{i}].exec must be a non-negative int")
-
-
-def check_worker_utilization(util, where):
-    """Per-worker busy/idle/barrier accounting (an "utilization" array
-    inside a "timing" object, DESIGN.md §10). Everything here is
-    wall-dependent; the checker only enforces the shape."""
-    require(isinstance(util, list) and util,
-            f"{where} must be a non-empty array")
-    for i, u in enumerate(util):
-        uwhere = f"{where}[{i}]"
-        require(isinstance(u, dict), f"{uwhere} must be an object")
-        require(u.get("worker") == i,
-                f"{uwhere}.worker must be the worker index {i}")
-        require(isinstance(u.get("rounds"), int) and u["rounds"] >= 0,
-                f"{uwhere}.rounds must be a non-negative int")
-        for key in ("busy_ms", "idle_ms", "barrier_ms"):
-            require(isinstance(u.get(key), (int, float)) and u[key] >= 0,
-                    f"{uwhere}.{key} must be a non-negative number")
-
-
-def check_timing_utilization(timing, where):
-    """Validates timing.utilization / timing.busy_imbalance_ms if present."""
-    if not isinstance(timing, dict):
+def walk(shape, value, path=""):
+    """Checks `value` against `shape`, then the shape's rules. Messages are
+    built only on failure: a trace or stats export holds ~10^6 values."""
+    if isinstance(shape, Kind):
+        if not shape.test(value):
+            fail(path, f"must be {shape.what}")
         return
-    if "utilization" in timing:
-        check_worker_utilization(timing["utilization"],
-                                 f"{where}.utilization")
-        require(isinstance(timing.get("busy_imbalance_ms"), (int, float))
-                and timing["busy_imbalance_ms"] >= 0,
-                f"{where}.busy_imbalance_ms must accompany utilization")
+    if isinstance(shape, Arr):
+        if not (isinstance(value, list) and (value or not shape.nonempty)):
+            fail(path, f"must be {'a non-empty' if shape.nonempty else 'an'} "
+                       f"array")
+        leaf = isinstance(shape.item, Kind)
+        for i, item in enumerate(value):
+            if not leaf or not shape.item.test(item):  # paths on failure only
+                walk(shape.item, item, f"{path}[{i}]")
+    elif isinstance(shape, Obj):
+        if not isinstance(value, dict):
+            fail(path, "must be an object")
+        for name, required, sub in shape.fields:
+            if name in value:
+                if not isinstance(sub, Kind) or not sub.test(value[name]):
+                    walk(sub, value[name], join(path, name))
+            elif required:
+                fail(join(path, name), "is required")
+        if shape.extra is not ANY:
+            names = {name for name, _, _ in shape.fields}
+            for key, item in value.items():
+                if key in names:
+                    continue
+                if shape.extra is not TIMING_ONLY:
+                    walk(shape.extra, item, join(path, key))
+                elif not is_timing_key(key):
+                    fail(join(path, key), "is wall-dependent: it must live "
+                                          "under 'timing'")
+    else:
+        chosen = next((s for key, s in shape.cases
+                       if isinstance(value, dict) and key in value),
+                      shape.default)
+        if chosen is None:
+            fail(path, "must carry one of the keys "
+                       f"{', '.join(repr(key) for key, _ in shape.cases)}")
+        return walk(chosen, value, path)
+    for rule in shape.rules:
+        rule(value, path)
 
 
-def check_milestones(ladder, where):
-    """The deterministic time-to-coverage ladder (obs::VelocityTracker)."""
-    require(isinstance(ladder, list), f"{where} must be an array")
-    last_frac, last_target, last_execs = 0.0, 0, 0
-    for i, m in enumerate(ladder):
-        mwhere = f"{where}[{i}]"
-        require(isinstance(m, dict), f"{mwhere} must be an object")
-        frac = m.get("fraction")
-        require(isinstance(frac, (int, float)) and 0 < frac <= 1,
-                f"{mwhere}.fraction must be in (0, 1]")
-        require(frac > last_frac,
-                f"{mwhere}.fraction must be strictly increasing")
-        last_frac = frac
-        target = m.get("target_coverage")
-        require(isinstance(target, int) and target >= 1,
-                f"{mwhere}.target_coverage must be a positive int")
-        require(target >= last_target,
-                f"{mwhere}.target_coverage must be non-decreasing")
-        last_target = target
-        execs = m.get("executions")
-        require(isinstance(execs, int) and execs >= 0,
-                f"{mwhere}.executions must be a non-negative int")
-        require(execs >= last_execs,
-                f"{mwhere}.executions must be non-decreasing")
-        last_execs = execs
-        for key in m:
-            if key in ("fraction", "target_coverage", "executions"):
-                continue
-            require(is_timing_key(key),
-                    f"{mwhere}.{key}: milestone wall-clock must live "
-                    f"under 'timing'")
+# --- rules -------------------------------------------------------------------
+
+def holds(test, what):
+    """A rule: test(value) must hold; `what` states the invariant."""
+    def rule(value, path):
+        require(test(value), f"{path or 'document'}: {what}")
+    return rule
 
 
-def check_velocity(vel, where="velocity"):
-    """Coverage-velocity section (obs::VelocityTracker::write_json).
-
-    The milestone ladder (fraction / target_coverage / executions) is
-    deterministic content; the EWMA rates are wall-dependent and live under
-    per-device "timing" objects.
-    """
-    require(isinstance(vel, dict), f"{where} must be an object")
-    require(isinstance(vel.get("half_life_secs"), (int, float))
-            and vel["half_life_secs"] > 0,
-            f"{where}.half_life_secs must be a positive number")
-    devices = vel.get("devices")
-    require(isinstance(devices, list), f"{where}.devices must be an array")
-    for i, dev in enumerate(devices):
-        dwhere = f"{where}.devices[{i}]"
-        require(isinstance(dev, dict), f"{dwhere} must be an object")
-        require(isinstance(dev.get("device"), str) and dev["device"],
-                f"{dwhere}.device must be a non-empty string")
-        if "time_to_coverage" in dev:
-            check_milestones(dev["time_to_coverage"],
-                             f"{dwhere}.time_to_coverage")
-        for key in dev:
-            if key in ("device", "time_to_coverage"):
-                continue
-            require(is_timing_key(key),
-                    f"{dwhere}.{key}: velocity rates must live under "
-                    f"'timing'")
-    agg = vel.get("aggregate")
-    require(isinstance(agg, dict), f"{where}.aggregate must be an object")
-    if "time_to_coverage" in agg:
-        check_milestones(agg["time_to_coverage"],
-                         f"{where}.aggregate.time_to_coverage")
-    for key in agg:
-        if key == "time_to_coverage":
-            continue
-        require(is_timing_key(key),
-                f"{where}.aggregate.{key}: velocity rates must live under "
-                f"'timing'")
+def increasing(*keys, strict=False):
+    """Array of objects: the member at `keys` never decreases from one item
+    to the next; with strict, it always increases."""
+    def rule(items, path):
+        for i in range(1, len(items)):
+            a, b = (reduce(getitem, keys, item) for item in items[i - 1:i + 1])
+            require(b > a if strict else b >= a,
+                    f"{path}[{i}].{'.'.join(keys)} must be "
+                    f"{'strictly increasing' if strict else 'non-decreasing'}")
+    return rule
 
 
-def check_fleet_parallel(fp, where="fleet_parallel"):
-    """Parallel-scaling section written by bench_fleet_parallel.
+def sorted_arrays(*keys):
+    return holds(lambda o: all(b >= a for key in keys
+                               for a, b in zip(o[key], o[key][1:])),
+                 f"arrays {', '.join(keys)} must be non-decreasing")
 
-    Throughput and speedup are wall-dependent (and on a 1-core host land
-    near 1.0x), so they live under per-config "timing" objects; the content
-    contract — which the checker enforces — is that the run was
-    deterministic across every worker configuration.
-    """
-    require(isinstance(fp, dict), f"{where} must be an object")
-    for key in ("devices", "execs_per_device", "slice",
-                "hardware_concurrency"):
-        require(isinstance(fp.get(key), int) and fp[key] > 0,
-                f"{where}.{key} must be a positive int")
-    require(fp.get("deterministic") is True,
-            f"{where}.deterministic must be true: per-device results must "
-            f"be bit-identical across worker counts")
-    configs = fp.get("configs")
-    require(isinstance(configs, list) and configs,
-            f"{where}.configs must be a non-empty array")
-    last = 0
-    for i, c in enumerate(configs):
-        cwhere = f"{where}.configs[{i}]"
-        require(isinstance(c, dict), f"{cwhere} must be an object")
-        workers = c.get("workers")
-        require(isinstance(workers, int) and workers > 0,
-                f"{cwhere}.workers must be a positive int")
-        require(workers > last,
-                f"{cwhere}.workers must be strictly increasing")
-        last = workers
-        for key in c:
-            if key == "workers":
-                continue
-            require(is_timing_key(key),
-                    f"{cwhere}.{key}: throughput/speedup fields must live "
-                    f"under 'timing'")
-        check_timing_utilization(c.get("timing"), f"{cwhere}.timing")
-    require(configs[0]["workers"] == 1,
-            f"{where}.configs must start with the sequential baseline "
-            f"(workers=1)")
 
+def same_length(*keys):
+    return holds(lambda o: len({len(o[key]) for key in keys}) == 1,
+                 f"arrays {', '.join(keys)} must share one length")
+
+
+# --- SHAPES: analytics, lineage, state coverage ------------------------------
+
+# ProgramOrigin wire names in enum order (obs/analytics.h); the exported
+# operator table must carry exactly these rows, in this order.
+ORIGINS = ("generate", "mutate_arg", "mutate_insert", "mutate_remove",
+           "mutate_duplicate", "mutate_splice", "mutate_rewire",
+           "plan_injected", "minimized", "replay", "snapshot_fork")
+FRONTIER_CLASSES = ("unreachable-from-frontier", "planned-but-failed",
+                    "never-attempted")
+# v2 added the snapshot_fork operator row (DESIGN.md §13).
+ANALYTICS_SCHEMA_VERSION = 2
+SERIES_POINT_FIELDS = ("executions", "kernel_coverage", "total_coverage",
+                       "corpus_size", "unique_bugs", "states_visited")
+
+# Per-driver state-machine coverage matrices (DriverStateCoverage).
+STATE_COVERAGE = arr(obj({
+    "driver": STR, "states": arr(STR, nonempty=True), "current": STR,
+    "visits": arr(NAT), "matrix": arr(arr(NAT)),
+    "states_visited": NAT, "transitions_observed": NAT,
+}, rules=[
+    holds(lambda c: c["current"] in c["states"],
+          "current must name one of the states"),
+    holds(lambda c: len(c["visits"]) == len(c["states"]),
+          "visits must have one entry per state"),
+    holds(lambda c: len(c["matrix"]) == len(c["states"])
+          and all(len(row) == len(c["states"]) for row in c["matrix"]),
+          "matrix must be states x states"),
+    holds(lambda c: c["states_visited"] == sum(v > 0 for v in c["visits"]),
+          "states_visited must equal the number of states with visits > 0"),
+    holds(lambda c: c["transitions_observed"]
+          == sum(v > 0 for row in c["matrix"] for v in row),
+          "transitions_observed must equal the number of non-zero matrix "
+          "cells"),
+]), nonempty=True)
+
+
+def frontier_class(s):
+    """A class consistent with the state's plan-attempt counters."""
+    attempts = (s["plans_injected"] + s["materialize_failed"]
+                + s["executed_no_visit"])
+    if s["class"] == "never-attempted":
+        return attempts == 0
+    if s["class"] == "planned-but-failed":
+        return attempts > 0
+    return s["plan_length"] == 0  # unreachable: no plan exists
+
+
+LINEAGE_LINK = obj({"hash": HEX16, "origin": enum(*ORIGINS),
+                    "exec_index": NAT, "depth": NAT})
+# A derivation chain, root first.
+LINEAGE_CHAIN = arr(LINEAGE_LINK, rules=[increasing("depth", strict=True)])
+
+# One obs::AnalyticsSnapshot: per-operator yield table, corpus lineage
+# digest, coverage-frontier classification and a downsampled series.
+ANALYTICS = obj({
+    "schema_version": enum(ANALYTICS_SCHEMA_VERSION),
+    "operators": arr(obj({
+        "origin": enum(*ORIGINS),
+        **many(NAT, "attempts", "total_calls", "accepts", "new_features",
+               "new_states", "bugs"),
+        "mean_cost": NONNEG_NUM,
+    }, rules=[
+        holds(lambda r: r["accepts"] <= r["attempts"],
+              "accepts cannot exceed attempts"),
+        holds(lambda r: r["attempts"] > 0 or r["mean_cost"] == 0,
+              "mean_cost must be 0 with no attempts"),
+    ]), rules=[holds(lambda rows: [r["origin"] for r in rows]
+                     == list(ORIGINS),
+                     f"must have one row per origin, in enum order "
+                     f"{ORIGINS}")]),
+    "lineage": obj({
+        **many(NAT, "seeds", "roots", "max_depth"),
+        "depth_histogram": arr(NAT),
+        "top_ancestors": arr(obj({
+            "hash": HEX16,
+            **many(NAT, "exec_index", "descendants", "subtree_new_features"),
+        })),
+    }, rules=[
+        holds(lambda lin: lin["roots"] <= lin["seeds"],
+              "roots cannot exceed seeds"),
+        holds(lambda lin: sum(lin["depth_histogram"]) == lin["seeds"],
+              "depth_histogram must sum to seeds"),
+        holds(lambda lin: lin["seeds"] == 0
+              or len(lin["depth_histogram"]) == lin["max_depth"] + 1,
+              "depth_histogram must have max_depth+1 buckets"),
+    ]),
+    # Every declared-but-unvisited state, classified exactly once.
+    "frontier": obj({
+        **many(NAT, "states_total", "states_visited"),
+        "unvisited": arr(obj({
+            **many(STR, "driver", "state"),
+            **many(NAT, "state_index", "plan_length", "plans_injected",
+                   "materialize_failed", "executed_no_visit"),
+            "class": enum(*FRONTIER_CLASSES),
+        }, rules=[holds(frontier_class, "class must match the plan and "
+                                        "plan-attempt counters")])),
+    }, rules=[
+        holds(lambda fr: fr["states_visited"] <= fr["states_total"],
+              "states_visited cannot exceed states_total"),
+        holds(lambda fr: len(fr["unvisited"])
+              == fr["states_total"] - fr["states_visited"],
+              "unvisited must classify every unvisited state"),
+    ]),
+    "series?": arr(obj({
+        **many(NAT, *SERIES_POINT_FIELDS),
+        "timing": obj({"secs": NONNEG_NUM}),
+    }), rules=[increasing("executions"), increasing("timing", "secs")]),
+})
+
+DEVICE_ANALYTICS = arr(obj({"device": STR, "analytics": ANALYTICS}),
+                       nonempty=True)
+
+# Build self-identification block (obs::write_build_json).
+BUILD = obj({
+    "compiler": STR,
+    **many(TEXT, "compiler_version", "build_type", "sanitizer", "flags"),
+    "cxx_standard": POS, "assertions": BOOL,
+    "schema": obj({}, values=POS),
+})
+
+# --- SHAPES: distillation, lint, bug lists -----------------------------------
+
+# core::DistillStats: every input seed is kept or dropped exactly once.
+DISTILL_COUNTS = {
+    **many(NAT, "before", "after", "dropped_static", "dropped_covered",
+           "footprint_union"),
+    "fraction_dropped": FRACTION, "verified": BOOL,
+}
+DISTILL_RULES = [
+    holds(lambda d: d["after"] + d["dropped_static"] + d["dropped_covered"]
+          == d["before"],
+          "after + dropped_static + dropped_covered must equal before"),
+    # The emitter prints doubles at 6 significant digits (%.6g).
+    holds(lambda d: abs(d["fraction_dropped"] - (
+        (d["before"] - d["after"]) / d["before"] if d["before"] else 0.0))
+          < 1e-6, "fraction_dropped must equal (before - after) / before"),
+    holds(lambda d: not d["verified"] or d["footprint_union"] > 0,
+          "replay verification implies a non-empty footprint union"),
+]
+
+DATAFLOW = obj({
+    "arg_classes": obj(many(NAT, "guard_relevant", "shape_relevant",
+                            "dead")),
+    "lifetimes": obj(many(NAT, "live", "closed", "leaked")),
+    "stale_uses": NAT,
+})
+
+BUGS = arr(obj({
+    **many(STR, "device", "title", "component", "origin", "class"),
+    **many(NAT, "first_exec", "dup_count"),
+    # Ends in the triggering program.
+    "lineage": LINEAGE_CHAIN._replace(nonempty=True),
+}))
+
+# --- SHAPES: campaign series, metrics, stats ---------------------------------
+
+SERIES_ARRAYS = ("executions", "kernel_coverage", "total_coverage",
+                 "corpus", "bugs")
+STATS_ARRAYS = ("executions", "kernel_coverage", "total_coverage", "corpus",
+                "bugs", "relation_edges", "reboots")
+
+SERIES_ENTRY = obj({
+    "device": STR, "config": STR,
+    **many(arr(NAT, nonempty=True), *SERIES_ARRAYS),
+    "state_coverage?": STATE_COVERAGE,
+    "analytics?": ANALYTICS,
+    "distill?": obj({**DISTILL_COUNTS, "dry_run": BOOL}, rules=DISTILL_RULES),
+}, rules=[same_length(*SERIES_ARRAYS),
+          sorted_arrays("executions", "kernel_coverage", "total_coverage",
+                        "bugs")])
+
+
+def metric_value(value_kind):
+    """Counter/gauge value: under the key the metric *name* dictates."""
+    def rule(m, path):
+        key = "value" + next((s for s in TIMING_SUFFIXES
+                              if m["name"].endswith(s)), "")
+        for other in ("value", "value_ns", "value_per_sec"):
+            require(other == key or other not in m,
+                    f"{path}.{other}: metric {m['name']!r} must serialize "
+                    f"under {key!r}")
+        walk(value_kind, m.get(key), f"{path}.{key}")
+    return rule
+
+
+METRICS = obj({
+    "counters": arr(obj({"name": STR}, rules=[metric_value(NAT)])),
+    "gauges": arr(obj({"name": STR}, rules=[metric_value(NUM)])),
+    "histograms": arr(obj({"name": STR, "label?": ANY, "count": NAT},
+                          closed=True)),
+})
+
+
+def device_sum(stats):
+    """aggregate.executions sums the devices' series, point by point, over
+    the shortest one."""
+    execs = [d["executions"] for d in stats["devices"]]
+    agg = stats["aggregate"].get("executions", [])
+    return len(agg) == min(map(len, execs)) and all(
+        a == sum(e[i] for e in execs) for i, a in enumerate(agg))
+
+
+STATS = obj({
+    "sample_every": POS,
+    "devices": arr(obj({
+        "device": STR,
+        "executions": arr(NUM),
+        **many(arr(ANY), *STATS_ARRAYS[1:]),
+        "state_coverage?": STATE_COVERAGE,
+    }, rules=[same_length(*STATS_ARRAYS), sorted_arrays("executions")]),
+        nonempty=True),
+    "aggregate": obj({"executions?": arr(ANY)}),
+}, rules=[holds(device_sum, "aggregate.executions must be the per-point sum "
+                            "of the device series")])
+
+EVENTS = arr(obj({"event": STR, "exec": NAT}))
+
+# --- SHAPES: fleet, velocity, faults, snapshots, service ---------------------
+
+# Per-worker busy/idle/barrier accounting inside a "timing" object
+# (DESIGN.md §10). All wall-dependent: only the shape is enforced.
+UTILIZATION_TIMING = obj({
+    "utilization": arr(obj({
+        "worker": NAT, "rounds": NAT,
+        **many(NONNEG_NUM, "busy_ms", "idle_ms", "barrier_ms"),
+    }), nonempty=True, rules=[
+        holds(lambda util: all(u["worker"] == i for i, u in enumerate(util)),
+              "each entry's worker must be its index")]),
+    "busy_imbalance_ms": NONNEG_NUM,
+})
+WALL_TIMING = pick(("utilization", UTILIZATION_TIMING), default=ANY)
+
+# Campaign-level fleet section (--workers in fleet_campaign).
+FLEET = obj({"workers": POS, "devices": POS, "timing?": WALL_TIMING},
+            closed=True)
+
+# The deterministic time-to-coverage ladder (obs::VelocityTracker); the
+# EWMA rates are wall-dependent and live under "timing".
+MILESTONES = arr(obj({
+    "fraction": number("a number in (0, 1]", lambda v: 0 < v <= 1),
+    "target_coverage": POS, "executions": NAT,
+}, closed=True), rules=[increasing("fraction", strict=True),
+                        increasing("target_coverage"),
+                        increasing("executions")])
+VELOCITY = obj({
+    "half_life_secs": POS_NUM,
+    "devices": arr(obj({"device": STR, "time_to_coverage?": MILESTONES},
+                       closed=True)),
+    "aggregate": obj({"time_to_coverage?": MILESTONES}, closed=True),
+})
+
+# bench_fleet_parallel: throughput and speedup are wall-dependent; the
+# content contract is that every worker configuration was deterministic.
+FLEET_PARALLEL = obj({
+    **many(POS, "devices", "execs_per_device", "slice",
+           "hardware_concurrency"),
+    "deterministic": TRUE,
+    "configs": arr(obj({"workers": POS, "timing?": WALL_TIMING},
+                       closed=True), nonempty=True, rules=[
+        increasing("workers", strict=True),
+        holds(lambda c: c[0]["workers"] == 1,
+              "must start with the sequential baseline (workers=1)")]),
+})
 
 FAULT_COUNTERS = ("injected", "hangs", "transport_errors", "reboots",
                   "kasan_reboots", "retries", "lost_execs")
 
-
-def check_fault_recovery(fr, where="fault_recovery"):
-    """Fault-recovery section written by bench_fault_recovery.
-
-    Content contract: the seeded fault schedule makes every rate
-    configuration deterministic, and the faulty campaigns lose no bugs
-    against the fault-free baseline at the same budget. Recovery latency
-    is virtual (deterministic) time and therefore content; wall-clock
-    throughput lives under per-config "timing" objects.
-    """
-    require(isinstance(fr, dict), f"{where} must be an object")
-    for key in ("devices", "execs_per_device", "slice"):
-        require(isinstance(fr.get(key), int) and fr[key] > 0,
-                f"{where}.{key} must be a positive int")
-    require(fr.get("deterministic") is True,
-            f"{where}.deterministic must be true: the fault schedule is a "
-            f"seeded plan, so per-rate results must be bit-identical")
-    require(isinstance(fr.get("budget_saturated"), bool),
-            f"{where}.budget_saturated must be a bool")
-    require(isinstance(fr.get("lost_bugs"), int) and fr["lost_bugs"] >= 0,
-            f"{where}.lost_bugs must be a non-negative int")
-    if fr["budget_saturated"]:
-        require(fr["lost_bugs"] == 0,
-                f"{where}.lost_bugs must be 0 at a saturation budget: "
-                f"faults may cost throughput but never bugs")
-    configs = fr.get("configs")
-    require(isinstance(configs, list) and configs,
-            f"{where}.configs must be a non-empty array")
-    last = -1
-    for i, c in enumerate(configs):
-        cwhere = f"{where}.configs[{i}]"
-        require(isinstance(c, dict), f"{cwhere} must be an object")
-        ppm = c.get("fault_rate_ppm")
-        require(isinstance(ppm, int) and ppm >= 0,
-                f"{cwhere}.fault_rate_ppm must be a non-negative int")
-        require(ppm > last,
-                f"{cwhere}.fault_rate_ppm must be strictly increasing")
-        last = ppm
-        require(isinstance(c.get("bugs"), int) and c["bugs"] >= 0,
-                f"{cwhere}.bugs must be a non-negative int")
-        faults = c.get("faults")
-        require(isinstance(faults, dict), f"{cwhere}.faults must be an object")
-        for key in FAULT_COUNTERS:
-            require(isinstance(faults.get(key), int) and faults[key] >= 0,
-                    f"{cwhere}.faults.{key} must be a non-negative int")
-        require(faults["reboots"] >= faults["hangs"],
-                f"{cwhere}.faults: every hang forces a reboot, so reboots "
-                f"must be >= hangs")
-        recovery = c.get("recovery")
-        require(isinstance(recovery, dict),
-                f"{cwhere}.recovery must be an object")
-        for key in ("virtual_us", "mean_us_per_event"):
-            require(isinstance(recovery.get(key), int) and recovery[key] >= 0,
-                    f"{cwhere}.recovery.{key} must be a non-negative int")
-        if ppm == 0:
-            require(all(faults[key] == 0 for key in FAULT_COUNTERS)
-                    and recovery["virtual_us"] == 0,
-                    f"{cwhere}: the fault-free baseline cannot report "
-                    f"injected faults or recovery time")
-        require(isinstance(c.get("timing"), dict),
-                f"{cwhere}.timing must carry the wall-clock throughput")
-        check_timing_utilization(c["timing"], f"{cwhere}.timing")
-        for key in c:
-            if key in ("fault_rate_ppm", "bugs", "faults", "recovery"):
-                continue
-            require(is_timing_key(key),
-                    f"{cwhere}.{key}: throughput fields must live under "
-                    f"'timing'")
-    require(configs[0]["fault_rate_ppm"] == 0,
-            f"{where}.configs must start with the fault-free baseline "
-            f"(fault_rate_ppm=0)")
-
+# bench_fault_recovery: the seeded fault schedule makes every rate
+# deterministic; recovery latency is virtual time and therefore content.
+FAULT_RECOVERY = obj({
+    **many(POS, "devices", "execs_per_device", "slice"),
+    "deterministic": TRUE, "budget_saturated": BOOL, "lost_bugs": NAT,
+    "configs": arr(obj({
+        "fault_rate_ppm": NAT, "bugs": NAT,
+        "faults": obj(many(NAT, *FAULT_COUNTERS), rules=[
+            holds(lambda f: f["reboots"] >= f["hangs"],
+                  "every hang forces a reboot, so reboots must be >= hangs")
+        ]),
+        "recovery": obj(many(NAT, "virtual_us", "mean_us_per_event")),
+        "timing": pick(("utilization", UTILIZATION_TIMING),
+                       default=obj({})),
+    }, closed=True, rules=[
+        holds(lambda c: c["fault_rate_ppm"] > 0
+              or (all(c["faults"][key] == 0 for key in FAULT_COUNTERS)
+                  and c["recovery"]["virtual_us"] == 0),
+              "the fault-free baseline cannot report injected faults or "
+              "recovery time")]), nonempty=True, rules=[
+        increasing("fault_rate_ppm", strict=True),
+        holds(lambda c: c[0]["fault_rate_ppm"] == 0,
+              "must start with the fault-free baseline (fault_rate_ppm=0)")]),
+}, rules=[holds(lambda fr: not fr["budget_saturated"] or fr["lost_bugs"] == 0,
+                "lost_bugs must be 0 at a saturation budget: faults may cost "
+                "throughput but never bugs")])
 
 SNAPSHOT_COUNTERS = ("captures", "restores", "forks", "fault_recoveries",
                      "prefix_execs_saved", "prefix_calls_saved",
                      "sections_total", "sections_shared", "bytes_total",
                      "bytes_shared")
-SNAPSHOT_MICRO_TIMING = ("capture_us", "restore_us", "reestablish_us",
-                         "restore_speedup")
+SNAPSHOT_CAMPAIGN_FIELDS = {
+    **many(NAT, *SNAPSHOT_COUNTERS),
+    # The snapshots-off trajectory is bit-identical across reps too.
+    "off_deterministic": TRUE,
+    "timing": obj({**many(POS_NUM, "on_execs_per_sec", "off_execs_per_sec"),
+                   "execs_per_sec_uplift_percent": NUM}),
+}
+# Every restore is a frontier fork or a fault recovery, and the
+# delta-sharing stats never exceed their totals.
+SNAPSHOT_COUNTER_RULES = [
+    holds(lambda s: s["restores"] == s["forks"] + s["fault_recoveries"],
+          "restores must equal forks + fault_recoveries"),
+    holds(lambda s: s["sections_shared"] <= s["sections_total"],
+          "sections_shared cannot exceed sections_total"),
+    holds(lambda s: s["bytes_shared"] <= s["bytes_total"],
+          "bytes_shared cannot exceed bytes_total"),
+]
 
 
-def check_snapshot_micro(sn, where):
-    """bench_micro shape: one captured snapshot's size plus the
-    capture / restore / full-reestablish latency probe."""
-    require(isinstance(sn.get("device"), str) and sn["device"],
-            f"{where}.device must be a non-empty string")
-    for key in ("snapshot_bytes", "snapshot_sections"):
-        require(isinstance(sn.get(key), int) and sn[key] > 0,
-                f"{where}.{key} must be a positive int")
-    for key in sn:
-        if key in ("device", "snapshot_bytes", "snapshot_sections"):
-            continue
-        require(is_timing_key(key),
-                f"{where}.{key}: snapshot latencies must live under "
-                f"'timing'")
-    timing = sn.get("timing")
-    require(isinstance(timing, dict),
-            f"{where}.timing must carry the latency probe")
-    for key in SNAPSHOT_MICRO_TIMING:
-        require(isinstance(timing.get(key), (int, float)) and timing[key] > 0,
-                f"{where}.timing.{key} must be a positive number")
-    want = timing["reestablish_us"] / timing["restore_us"]
-    require(abs(timing["restore_speedup"] - want) <= 0.01 * want,
-            f"{where}.timing.restore_speedup must equal reestablish_us / "
-            f"restore_us ({want:.2f})")
+def useful_uplift(s):
+    if s["useful_fraction_off"] == 0:
+        return True
+    want = 100.0 * (s["useful_fraction_on"] / s["useful_fraction_off"] - 1.0)
+    return abs(s["useful_uplift_percent"] - want) <= 1e-4 + 0.01 * abs(want)
 
 
-def check_snapshot_campaign(sn, where):
-    """bench_fleet_parallel / bench_fault_recovery shape: summed
-    SnapshotStats counters plus the snapshots-on-vs-off comparison.
+# Snapshot layer (DESIGN.md §13) in three shapes: bench_micro's one
+# snapshot plus its latency probe; the SnapshotStats counters of
+# bench_fleet_parallel; and those plus bench_fault_recovery's
+# useful-throughput comparison.
+SNAPSHOT = pick(
+    ("snapshot_bytes", obj({
+        "device": STR, "snapshot_bytes": POS, "snapshot_sections": POS,
+        "timing": obj(many(POS_NUM, "capture_us", "restore_us",
+                           "reestablish_us", "restore_speedup"), rules=[
+            holds(lambda t: abs(t["restore_speedup"] - t["reestablish_us"]
+                                / t["restore_us"])
+                  <= 0.01 * t["reestablish_us"] / t["restore_us"],
+                  "restore_speedup must equal reestablish_us / restore_us")]),
+    }, closed=True)),
+    ("replay_execs_on", obj({
+        **SNAPSHOT_CAMPAIGN_FIELDS,
+        **many(NAT, "fault_rate_ppm", "replay_execs_on", "replay_execs_off"),
+        **many(FRACTION, "useful_fraction_on", "useful_fraction_off"),
+        "useful_uplift_percent": NUM,
+    }, closed=True, rules=SNAPSHOT_COUNTER_RULES + [
+        holds(useful_uplift, "useful_uplift_percent must equal 100 * "
+                             "(useful_fraction_on / useful_fraction_off - 1)")
+    ])),
+    default=obj(SNAPSHOT_CAMPAIGN_FIELDS, closed=True,
+                rules=SNAPSHOT_COUNTER_RULES))
 
-    The counters and the useful-throughput fields derive from seeded
-    execution counts, so they are content; only the raw wall rates live
-    under "timing". Counter identities come from the engine: every restore
-    is either a frontier fork or a fault recovery, and the delta-sharing
-    stats can never exceed their totals.
-    """
-    for key in SNAPSHOT_COUNTERS:
-        require(isinstance(sn.get(key), int) and sn[key] >= 0,
-                f"{where}.{key} must be a non-negative int")
-    require(sn["restores"] == sn["forks"] + sn["fault_recoveries"],
-            f"{where}: restores ({sn['restores']}) must equal forks + "
-            f"fault_recoveries ({sn['forks'] + sn['fault_recoveries']})")
-    require(sn["sections_shared"] <= sn["sections_total"],
-            f"{where}.sections_shared cannot exceed sections_total")
-    require(sn["bytes_shared"] <= sn["bytes_total"],
-            f"{where}.bytes_shared cannot exceed bytes_total")
-    require(isinstance(sn.get("off_deterministic"), bool),
-            f"{where}.off_deterministic must be a bool")
-    require(sn["off_deterministic"] is True,
-            f"{where}.off_deterministic must be true: the snapshots-off "
-            f"trajectory must also be bit-identical across reps")
-    content_keys = set(SNAPSHOT_COUNTERS) | {"off_deterministic"}
-    if "replay_execs_on" in sn:  # bench_fault_recovery extras
-        for key in ("fault_rate_ppm", "replay_execs_on", "replay_execs_off"):
-            require(isinstance(sn.get(key), int) and sn[key] >= 0,
-                    f"{where}.{key} must be a non-negative int")
-        for key in ("useful_fraction_on", "useful_fraction_off"):
-            require(isinstance(sn.get(key), (int, float))
-                    and 0 <= sn[key] <= 1,
-                    f"{where}.{key} must be a number in [0, 1]")
-        require(isinstance(sn.get("useful_uplift_percent"), (int, float)),
-                f"{where}.useful_uplift_percent must be a number")
-        if sn["useful_fraction_off"] > 0:
-            want = 100.0 * (sn["useful_fraction_on"]
-                            / sn["useful_fraction_off"] - 1.0)
-            require(abs(sn["useful_uplift_percent"] - want) <= 1e-4
-                    + 0.01 * abs(want),
-                    f"{where}.useful_uplift_percent must equal "
-                    f"100 * (useful_fraction_on / useful_fraction_off - 1) "
-                    f"({want:.4f})")
-        content_keys |= {"fault_rate_ppm", "replay_execs_on",
-                         "replay_execs_off", "useful_fraction_on",
-                         "useful_fraction_off", "useful_uplift_percent"}
-    for key in sn:
-        if key in content_keys:
-            continue
-        require(is_timing_key(key),
-                f"{where}.{key}: snapshot wall rates must live under "
-                f"'timing'")
-    timing = sn.get("timing")
-    require(isinstance(timing, dict),
-            f"{where}.timing must carry the on-vs-off wall rates")
-    for key in ("on_execs_per_sec", "off_execs_per_sec"):
-        require(isinstance(timing.get(key), (int, float)) and timing[key] > 0,
-                f"{where}.timing.{key} must be a positive number")
-    require(isinstance(timing.get("execs_per_sec_uplift_percent"),
-                       (int, float)),
-            f"{where}.timing.execs_per_sec_uplift_percent must be a number")
+# bench_service_throughput (DESIGN.md §14): every preempted job reproduced
+# its uninterrupted reference byte-for-byte. Tick counts are content
+# (scheduler passes); jobs/hour, overhead and millisecond waits are timing.
+SERVICE = obj({
+    **many(POS, "jobs", "workers", "quantum_barriers", "checkpoint_every",
+           "budget_per_job"),
+    "deterministic": TRUE,
+    **many(NAT, "scheduler_ticks", "preemptions_total"),
+    "wait_ticks": obj(many(NAT, "p50", "p90", "max"), rules=[
+        holds(lambda w: w["p50"] <= w["p90"] <= w["max"],
+              "percentiles must be ordered (p50 <= p90 <= max)")]),
+    "per_job": arr(obj({
+        "id": POS, "device": STR,
+        **many(NAT, "seed", "priority", "preemptions", "wait_ticks"),
+    }), rules=[increasing("id", strict=True)]),
+    "timing": obj({**many(NUM, "preempted_wall_seconds",
+                          "uninterrupted_wall_seconds",
+                          "preemption_overhead_percent", "queue_wait_p50_ms",
+                          "queue_wait_p90_ms", "queue_wait_max_ms"),
+                   "jobs_per_hour": NONNEG_NUM}),
+}, closed=True, rules=[
+    holds(lambda sv: sv["scheduler_ticks"] >= sv["jobs"],
+          "scheduler_ticks must be at least one quantum per job"),
+    holds(lambda sv: len(sv["per_job"]) == sv["jobs"],
+          "per_job must have one entry per job"),
+    holds(lambda sv: sum(j["preemptions"] for j in sv["per_job"])
+          == sv["preemptions_total"],
+          "preemptions_total must equal the per-job sum"),
+])
 
+# --- SHAPES: the seven documents ---------------------------------------------
 
-def check_snapshot(sn, where="snapshot"):
-    """Snapshot-layer section (DESIGN.md §13), micro or campaign shape."""
-    require(isinstance(sn, dict), f"{where} must be an object")
-    if "snapshot_bytes" in sn:
-        check_snapshot_micro(sn, where)
-    else:
-        check_snapshot_campaign(sn, where)
+BENCH_DOC = obj({
+    "bench": STR, "seed": INT, "reps": POS,
+    "series": arr(SERIES_ENTRY, nonempty=True),
+    "metrics?": METRICS,
+    "fleet_parallel?": FLEET_PARALLEL,
+    "fault_recovery?": FAULT_RECOVERY,
+    "snapshot?": SNAPSHOT,
+    "service?": SERVICE,
+    "velocity?": VELOCITY,
+    "bugs?": BUGS, "syzkaller_bugs?": BUGS,
+    "build": BUILD,
+    "timing": obj({"wall_seconds": NUM}),
+})
 
-
-SERVICE_TIMING = ("preempted_wall_seconds", "uninterrupted_wall_seconds",
-                  "jobs_per_hour", "preemption_overhead_percent",
-                  "queue_wait_p50_ms", "queue_wait_p90_ms",
-                  "queue_wait_max_ms")
-
-
-def check_service(sv, where="service"):
-    """Campaign-service scheduling section written by
-    bench_service_throughput (DESIGN.md §14).
-
-    Content contract: the preempting scheduler is deterministic — every
-    job's result document matched its uninterrupted reference — and the
-    per-job preemption counts sum to the reported total. Tick counts are
-    content (scheduler passes, not wall clock); jobs/hour, preemption
-    overhead, and millisecond wait percentiles live under "timing".
-    """
-    require(isinstance(sv, dict), f"{where} must be an object")
-    for key in ("jobs", "workers", "quantum_barriers", "checkpoint_every",
-                "budget_per_job"):
-        require(isinstance(sv.get(key), int) and sv[key] > 0,
-                f"{where}.{key} must be a positive int")
-    require(sv.get("deterministic") is True,
-            f"{where}.deterministic must be true: every preempted job must "
-            f"reproduce its uninterrupted reference byte-for-byte")
-    for key in ("scheduler_ticks", "preemptions_total"):
-        require(isinstance(sv.get(key), int) and sv[key] >= 0,
-                f"{where}.{key} must be a non-negative int")
-    require(sv["scheduler_ticks"] >= sv["jobs"],
-            f"{where}.scheduler_ticks must be at least one quantum per job")
-    waits = sv.get("wait_ticks")
-    require(isinstance(waits, dict), f"{where}.wait_ticks must be an object")
-    for key in ("p50", "p90", "max"):
-        require(isinstance(waits.get(key), int) and waits[key] >= 0,
-                f"{where}.wait_ticks.{key} must be a non-negative int")
-    require(waits["p50"] <= waits["p90"] <= waits["max"],
-            f"{where}.wait_ticks percentiles must be ordered "
-            f"(p50 <= p90 <= max)")
-    per_job = sv.get("per_job")
-    require(isinstance(per_job, list) and len(per_job) == sv["jobs"],
-            f"{where}.per_job must have one entry per job ({sv['jobs']})")
-    last_id = 0
-    preemptions = 0
-    for i, j in enumerate(per_job):
-        jwhere = f"{where}.per_job[{i}]"
-        require(isinstance(j, dict), f"{jwhere} must be an object")
-        require(isinstance(j.get("id"), int) and j["id"] > last_id,
-                f"{jwhere}.id must be a strictly increasing positive int")
-        last_id = j["id"]
-        require(isinstance(j.get("device"), str) and j["device"],
-                f"{jwhere}.device must be a non-empty string")
-        for key in ("seed", "priority", "preemptions", "wait_ticks"):
-            require(isinstance(j.get(key), int) and j[key] >= 0,
-                    f"{jwhere}.{key} must be a non-negative int")
-        preemptions += j["preemptions"]
-    require(preemptions == sv["preemptions_total"],
-            f"{where}.preemptions_total must equal the per-job sum "
-            f"({preemptions})")
-    content_keys = {"jobs", "workers", "quantum_barriers", "checkpoint_every",
-                    "budget_per_job", "deterministic", "scheduler_ticks",
-                    "preemptions_total", "wait_ticks", "per_job"}
-    for key in sv:
-        if key in content_keys:
-            continue
-        require(is_timing_key(key),
-                f"{where}.{key}: scheduler wall rates must live under "
-                f"'timing'")
-    timing = sv.get("timing")
-    require(isinstance(timing, dict),
-            f"{where}.timing must carry the throughput and wait latencies")
-    for key in SERVICE_TIMING:
-        require(isinstance(timing.get(key), (int, float)),
-                f"{where}.timing.{key} must be a number")
-    require(timing["jobs_per_hour"] >= 0,
-            f"{where}.timing.jobs_per_hour must be non-negative")
+CAMPAIGN_DOC = obj({
+    "campaign": obj({"example": STR, "seed": INT}),
+    "stats": STATS,
+    "fleet?": FLEET,
+    "velocity?": VELOCITY,
+    "analytics?": obj({"devices": DEVICE_ANALYTICS}),
+    "build?": BUILD,
+    "metrics?": METRICS,
+    "events?": EVENTS,
+})
 
 
-def check_fleet(fleet, where="fleet"):
-    """Campaign-level fleet section (--workers in fleet_campaign)."""
-    require(isinstance(fleet, dict), f"{where} must be an object")
-    for key in ("workers", "devices"):
-        require(isinstance(fleet.get(key), int) and fleet[key] > 0,
-                f"{where}.{key} must be a positive int")
-    for key in fleet:
-        if key in ("workers", "devices"):
-            continue
-        require(is_timing_key(key),
-                f"{where}.{key}: wall-dependent fleet fields must live "
-                f"under 'timing'")
-    check_timing_utilization(fleet.get("timing"), f"{where}.timing")
-
-
-def check_bench_doc(doc):
-    require(isinstance(doc.get("bench"), str) and doc["bench"],
-            "bench must be a non-empty string")
-    require(isinstance(doc.get("seed"), int), "seed must be an int")
-    require(isinstance(doc.get("reps"), int) and doc["reps"] > 0,
-            "reps must be a positive int")
-    series = doc.get("series")
-    require(isinstance(series, list) and series,
-            "series must be a non-empty array")
-    for i, entry in enumerate(series):
-        check_series_entry(i, entry)
-    if "metrics" in doc:
-        check_metrics(doc["metrics"])
-    if "fleet_parallel" in doc:
-        check_fleet_parallel(doc["fleet_parallel"])
-    if "fault_recovery" in doc:
-        check_fault_recovery(doc["fault_recovery"])
-    if "snapshot" in doc:
-        check_snapshot(doc["snapshot"])
-    if "service" in doc:
-        check_service(doc["service"])
-    if "velocity" in doc:
-        check_velocity(doc["velocity"])
-    if "bugs" in doc:
-        check_bug_list(doc["bugs"], "bugs")
-    if "syzkaller_bugs" in doc:
-        check_bug_list(doc["syzkaller_bugs"], "syzkaller_bugs")
-    check_build(doc.get("build"))
-    timing = doc.get("timing")
-    require(isinstance(timing, dict)
-            and isinstance(timing.get("wall_seconds"), (int, float)),
-            "timing.wall_seconds must be a number")
-
-
-def check_campaign_doc(doc):
-    campaign = doc.get("campaign")
-    require(isinstance(campaign, dict), "campaign must be an object")
-    require(isinstance(campaign.get("example"), str) and campaign["example"],
-            "campaign.example must be a non-empty string")
-    require(isinstance(campaign.get("seed"), int),
-            "campaign.seed must be an int")
-    check_stats(doc.get("stats"))
-    if "fleet" in doc:
-        check_fleet(doc["fleet"])
-    if "velocity" in doc:
-        check_velocity(doc["velocity"])
-    if "analytics" in doc:
-        check_device_analytics(doc["analytics"])
-    if "build" in doc:
-        check_build(doc["build"])
-    if "metrics" in doc:
-        check_metrics(doc["metrics"])
-    if "events" in doc:
-        check_events(doc["events"])
-
-
-def check_chrome_trace(doc):
-    events = doc.get("traceEvents")
-    require(isinstance(events, list) and events,
-            "traceEvents must be a non-empty array")
-    span_ids = set()
-    parents = []
-    last_ts = {}
-    complete = 0
-    for i, ev in enumerate(events):
-        where = f"traceEvents[{i}]"
-        require(isinstance(ev, dict), f"{where} must be an object")
-        ph = ev.get("ph")
-        require(ph in ("M", "X"), f"{where}.ph must be 'M' or 'X', got {ph!r}")
-        require(isinstance(ev.get("name"), str) and ev["name"],
-                f"{where}.name must be a non-empty string")
-        for key in ("pid", "tid"):
-            require(isinstance(ev.get(key), int) and ev[key] >= 0,
-                    f"{where}.{key} must be a non-negative int")
-        args = ev.get("args")
-        require(isinstance(args, dict), f"{where}.args must be an object")
-        if ph == "M":
-            require(ev["name"] in ("process_name", "thread_name"),
-                    f"{where}: metadata event must name a process or thread")
-            require(isinstance(args.get("name"), str) and args["name"],
-                    f"{where}.args.name must be a non-empty string")
-            continue
-        complete += 1
-        for key in ("ts", "dur"):
-            require(isinstance(ev.get(key), int) and ev[key] >= 0,
-                    f"{where}.{key} must be a non-negative int")
-        # The exporter sorts by (tid, ts): timestamps are monotone per track.
-        tid = ev["tid"]
+def span_tree(events, path):
+    """Complete spans: timestamps monotone per track (the exporter sorts
+    by (tid, ts)), unique ids, and every parent a span of the trace."""
+    spans = [(f"{path}[{i}]", ev) for i, ev in enumerate(events)
+             if ev["ph"] == "X"]
+    require(spans, f"{path} must contain at least one complete span")
+    last_ts, ids = {}, set()
+    for where, ev in spans:
+        tid, span_id = ev["tid"], ev["args"]["id"]
         require(ev["ts"] >= last_ts.get(tid, 0),
-                f"{where}: ts must be non-decreasing within tid {tid}")
+                f"{where}.ts must be non-decreasing within tid {tid}")
         last_ts[tid] = ev["ts"]
-        span_id = args.get("id")
-        require(isinstance(span_id, int) and span_id > 0,
-                f"{where}.args.id must be a positive int")
-        require(span_id not in span_ids,
-                f"{where}.args.id {span_id} duplicated")
-        span_ids.add(span_id)
-        require(isinstance(args.get("parent"), int) and args["parent"] >= 0,
-                f"{where}.args.parent must be a non-negative int")
-        require(isinstance(args.get("exec"), int) and args["exec"] >= 0,
-                f"{where}.args.exec must be a non-negative int")
-        parents.append((where, args["parent"]))
-    require(complete > 0, "trace must contain at least one complete span")
-    for where, parent in parents:
-        require(parent == 0 or parent in span_ids,
-                f"{where}: parent {parent} does not match any span id "
+        require(span_id not in ids, f"{where}.args.id {span_id} duplicated")
+        ids.add(span_id)
+    for where, ev in spans:
+        parent = ev["args"]["parent"]
+        require(parent == 0 or parent in ids,
+                f"{where}.args.parent {parent} does not match any span id "
                 f"(incomplete span tree)")
 
 
-def check_crash_doc(doc):
-    crash = doc.get("crash")
-    require(isinstance(crash, dict), "crash must be an object")
-    for key in ("title", "component", "origin", "bug_class"):
-        require(isinstance(crash.get(key), str) and crash[key],
-                f"crash.{key} must be a non-empty string")
-    h = crash.get("hash")
-    require(isinstance(h, str) and len(h) == 16
-            and all(c in "0123456789abcdef" for c in h),
-            "crash.hash must be 16 lowercase hex digits")
-    for key in ("first_exec", "dup_count"):
-        require(isinstance(crash.get(key), int) and crash[key] >= 0,
-                f"crash.{key} must be a non-negative int")
-    campaign = doc.get("campaign")
-    require(isinstance(campaign, dict), "campaign must be an object")
-    require(isinstance(campaign.get("device"), str) and campaign["device"],
-            "campaign.device must be a non-empty string")
-    for key in ("seed", "exec"):
-        require(isinstance(campaign.get(key), int),
-                f"campaign.{key} must be an int")
-    repro = doc.get("repro")
-    require(isinstance(repro, dict), "repro must be an object")
-    require(isinstance(repro.get("calls"), int) and repro["calls"] > 0,
-            "repro.calls must be a positive int")
-    require(isinstance(repro.get("dsl"), str) and repro["dsl"].strip(),
-            "repro.dsl must be a non-empty program")
-    check_lineage_chain(doc.get("lineage"), "lineage")
-    check_state_coverage(doc.get("driver_states"), "driver_states")
-    kasan = doc.get("kasan_context")
-    require(isinstance(kasan, dict), "kasan_context must be an object")
-    for key in ("kernel_reports", "hal_crashes"):
-        arr = kasan.get(key)
-        require(isinstance(arr, list)
-                and all(isinstance(s, str) and s for s in arr),
-                f"kasan_context.{key} must be an array of strings")
-    require(kasan["kernel_reports"] or kasan["hal_crashes"],
-            "kasan_context must carry at least one report")
-    flight = doc.get("flight_recorder")
-    require(isinstance(flight, dict), "flight_recorder must be an object")
-    require(isinstance(flight.get("capacity"), int) and flight["capacity"] > 0,
-            "flight_recorder.capacity must be a positive int")
-    require(isinstance(flight.get("recorded"), int)
-            and flight["recorded"] > 0,
-            "flight_recorder.recorded must be a positive int")
-    records = flight.get("records")
-    require(isinstance(records, list) and records,
-            "flight_recorder.records must be a non-empty array")
-    for i, rec in enumerate(records):
-        rwhere = f"flight_recorder.records[{i}]"
-        require(isinstance(rec, dict), f"{rwhere} must be an object")
-        require(isinstance(rec.get("exec"), int) and rec["exec"] >= 0,
-                f"{rwhere}.exec must be a non-negative int")
-        require(isinstance(rec.get("program"), str) and rec["program"],
-                f"{rwhere}.program must be a non-empty string")
-        require(isinstance(rec.get("rets"), list),
-                f"{rwhere}.rets must be an array")
-        for key in ("states_before", "states_after"):
-            require(isinstance(rec.get(key), dict),
-                    f"{rwhere}.{key} must be an object")
+META_EVENT = obj({"name": enum("process_name", "thread_name"),
+                  "args": obj({"name": STR})})
+SPAN_EVENT = obj({"ts": NAT, "dur": NAT,
+                  "args": obj({"id": POS, "parent": NAT, "exec": NAT})})
+TRACE_DOC = obj({"traceEvents": arr(obj({
+    "ph": enum("M", "X"), "name": STR, "pid": NAT, "tid": NAT,
+    "args": obj({}),
+}, rules=[lambda ev, path: walk(META_EVENT if ev["ph"] == "M"
+                                else SPAN_EVENT, ev, path)]),
+    nonempty=True, rules=[span_tree])})
+
+CRASH_DOC = obj({
+    "crash": obj({
+        **many(STR, "title", "component", "origin", "bug_class"),
+        "hash": HEX16, **many(NAT, "first_exec", "dup_count"),
+    }),
+    "campaign": obj({"device": STR, "seed": INT, "exec": INT}),
+    "repro": obj({"calls": POS,
+                  "dsl": Kind("a non-empty program",
+                              lambda v: isinstance(v, str) and v.strip())}),
+    "lineage": LINEAGE_CHAIN,
+    "driver_states": STATE_COVERAGE,
+    "kasan_context": obj(many(arr(STR), "kernel_reports", "hal_crashes"),
+                         rules=[holds(lambda k: k["kernel_reports"]
+                                      or k["hal_crashes"],
+                                      "must carry at least one report")]),
+    "flight_recorder": obj({
+        "capacity": POS, "recorded": POS,
+        "records": arr(obj({
+            "exec": NAT, "program": STR, "rets": arr(ANY),
+            "states_before": obj({}), "states_after": obj({}),
+        }), nonempty=True),
+    }),
+})
+
+def lint_totals(lint, path):
+    """The summary counts what the per-file reports list."""
+    findings = [fd["severity"] for f in lint["files"] for fd in f["findings"]]
+    want = {"files": len(lint["files"]), "findings": len(findings),
+            "errors": findings.count("error"),
+            "warnings": findings.count("warning")}
+    for key, n in want.items():
+        require(lint["summary"][key] == n,
+                f"{path}.summary.{key} must equal the per-file count ({n})")
 
 
-def check_lint_doc(doc):
-    lint = doc.get("lint")
-    require(isinstance(lint, dict), "lint must be an object")
-    for key in ("tool", "device"):
-        require(isinstance(lint.get(key), str) and lint[key],
-                f"lint.{key} must be a non-empty string")
-    files = lint.get("files")
-    require(isinstance(files, list) and files,
-            "lint.files must be a non-empty array")
-    total_findings = 0
-    total_errors = 0
-    total_warnings = 0
-    for i, f in enumerate(files):
-        fwhere = f"lint.files[{i}]"
-        require(isinstance(f, dict), f"{fwhere} must be an object")
-        require(isinstance(f.get("path"), str) and f["path"],
-                f"{fwhere}.path must be a non-empty string")
-        require(isinstance(f.get("calls"), int) and f["calls"] >= 0,
-                f"{fwhere}.calls must be a non-negative int")
-        require(isinstance(f.get("parse_error"), str),
-                f"{fwhere}.parse_error must be a string")
-        require(isinstance(f.get("repairable"), bool),
-                f"{fwhere}.repairable must be a bool")
-        findings = f.get("findings")
-        require(isinstance(findings, list),
-                f"{fwhere}.findings must be an array")
-        if "dataflow" in f:
-            check_lint_dataflow(f["dataflow"], f"{fwhere}.dataflow")
-        for j, fd in enumerate(findings):
-            dwhere = f"{fwhere}.findings[{j}]"
-            require(isinstance(fd, dict), f"{dwhere} must be an object")
-            require(fd.get("pass") in LINT_PASSES,
-                    f"{dwhere}.pass must be one of {LINT_PASSES}")
-            require(fd.get("severity") in LINT_SEVERITIES,
-                    f"{dwhere}.severity must be 'error' or 'warning'")
-            require(isinstance(fd.get("call"), int) and fd["call"] >= 0,
-                    f"{dwhere}.call must be a non-negative int")
-            require(isinstance(fd.get("arg"), int) and fd["arg"] >= -1,
-                    f"{dwhere}.arg must be an int >= -1")
-            require(isinstance(fd.get("message"), str) and fd["message"],
-                    f"{dwhere}.message must be a non-empty string")
-            total_findings += 1
-            if fd["severity"] == "error":
-                total_errors += 1
-            else:
-                total_warnings += 1
-    summary = lint.get("summary")
-    require(isinstance(summary, dict), "lint.summary must be an object")
-    for key in ("files", "programs", "findings", "errors", "warnings",
-                "repaired", "rejected"):
-        require(isinstance(summary.get(key), int) and summary[key] >= 0,
-                f"lint.summary.{key} must be a non-negative int")
-    require(summary["files"] == len(files),
-            f"lint.summary.files must equal len(files) ({len(files)})")
-    require(summary["findings"] == total_findings,
-            f"lint.summary.findings must equal the per-file finding count "
-            f"({total_findings})")
-    require(summary["errors"] == total_errors
-            and summary["warnings"] == total_warnings,
-            f"lint.summary errors/warnings must match the per-file counts "
-            f"({total_errors}/{total_warnings})")
-    plans = lint.get("plans")
-    require(isinstance(plans, list), "lint.plans must be an array")
-    for i, p in enumerate(plans):
-        pwhere = f"lint.plans[{i}]"
-        require(isinstance(p, dict), f"{pwhere} must be an object")
-        require(isinstance(p.get("driver"), str) and p["driver"],
-                f"{pwhere}.driver must be a non-empty string")
-        states = p.get("states")
-        require(isinstance(states, list) and states
-                and all(isinstance(s, str) and s for s in states),
-                f"{pwhere}.states must be a non-empty array of names")
-        entries = p.get("plans")
-        require(isinstance(entries, list) and len(entries) == len(states),
-                f"{pwhere}.plans must have one entry per state")
-        for j, e in enumerate(entries):
-            ewhere = f"{pwhere}.plans[{j}]"
-            require(isinstance(e, dict), f"{ewhere} must be an object")
-            require(e.get("state") == j,
-                    f"{ewhere}.state must be the state index {j}")
-            require(e.get("name") == states[j],
-                    f"{ewhere}.name must match states[{j}]")
-            require(isinstance(e.get("reachable"), bool),
-                    f"{ewhere}.reachable must be a bool")
-            require(isinstance(e.get("calls"), int) and e["calls"] >= 0,
-                    f"{ewhere}.calls must be a non-negative int")
-            if not e["reachable"]:
-                require(e["calls"] == 0,
-                        f"{ewhere}: unreachable state cannot carry a plan")
+LINT_DOC = obj({"lint": obj({
+    "tool": STR, "device": STR,
+    "files": arr(obj({
+        "path": STR, "calls": NAT, "parse_error": TEXT, "repairable": BOOL,
+        "findings": arr(obj({
+            "pass": enum("use-after-close", "dangling-ref", "type-width",
+                         "dead-statement"),
+            "severity": enum("error", "warning"),
+            "call": NAT,
+            "arg": Kind("an int >= -1",
+                        lambda v: isinstance(v, int) and v >= -1),
+            "message": STR,
+        })),
+        "dataflow?": DATAFLOW,
+    }), nonempty=True),
+    "summary": obj(many(NAT, "files", "programs", "findings", "errors",
+                        "warnings", "repaired", "rejected")),
+    "plans": arr(obj({
+        "driver": STR, "states": arr(STR, nonempty=True),
+        "plans": arr(obj({
+            "state": NAT, "name": STR, "reachable": BOOL, "calls": NAT,
+        }, rules=[holds(lambda e: e["reachable"] or e["calls"] == 0,
+                        "unreachable state cannot carry a plan")])),
+    }, rules=[holds(lambda p: [(e["state"], e["name"]) for e in p["plans"]]
+                    == list(enumerate(p["states"])),
+                    "plans must have one entry per state, in state order")])),
+}, rules=[lint_totals])})
 
+EXPLAIN_DOC = obj({
+    "report": obj({"example": STR, "seed": INT, "execs_per_device": POS,
+                   "devices": NAT}),
+    "devices": DEVICE_ANALYTICS,
+    "build": BUILD,
+}, rules=[holds(lambda doc: doc["report"]["devices"] == len(doc["devices"]),
+                "report.devices must equal len(devices)")])
 
-def check_explain_doc(doc):
-    report = doc.get("report")
-    require(isinstance(report, dict), "report must be an object")
-    require(isinstance(report.get("example"), str) and report["example"],
-            "report.example must be a non-empty string")
-    require(isinstance(report.get("seed"), int), "report.seed must be an int")
-    require(isinstance(report.get("execs_per_device"), int)
-            and report["execs_per_device"] > 0,
-            "report.execs_per_device must be a positive int")
-    devices = doc.get("devices")
-    require(isinstance(devices, list) and devices,
-            "devices must be a non-empty array")
-    require(report.get("devices") == len(devices),
-            f"report.devices must equal len(devices) ({len(devices)})")
-    for i, dev in enumerate(devices):
-        dwhere = f"devices[{i}]"
-        require(isinstance(dev, dict), f"{dwhere} must be an object")
-        require(isinstance(dev.get("device"), str) and dev["device"],
-                f"{dwhere}.device must be a non-empty string")
-        check_analytics(dev.get("analytics"), f"{dwhere}.analytics")
-    check_build(doc.get("build"))
+# df_distill: destructive distillation, and every device's distilled corpus
+# replays to bit-identical coverage ("verified": true).
+DISTILL_DOC = obj({"distill": obj({
+    "tool": enum("df_distill"), "seed": INT, "execs": POS,
+    "devices": arr(obj({"device": STR, "executions": NAT, **DISTILL_COUNTS,
+                        "verified": TRUE}, rules=DISTILL_RULES),
+                   nonempty=True),
+})})
+
+DOCUMENT = pick(("bench", BENCH_DOC), ("traceEvents", TRACE_DOC),
+                ("crash", CRASH_DOC), ("campaign", CAMPAIGN_DOC),
+                ("lint", LINT_DOC), ("report", EXPLAIN_DOC),
+                ("distill", DISTILL_DOC))
 
 
 def check_document(doc):
-    if "bench" in doc:
-        check_bench_doc(doc)
-    elif "traceEvents" in doc:
-        check_chrome_trace(doc)
-    elif "crash" in doc:
-        check_crash_doc(doc)
-    elif "campaign" in doc:
-        check_campaign_doc(doc)
-    elif "lint" in doc:
-        check_lint_doc(doc)
-    elif "report" in doc:
-        check_explain_doc(doc)
-    elif "distill" in doc:
-        check_distill_doc(doc)
-    else:
-        raise CheckError("unknown document: expected a 'bench', "
-                         "'traceEvents', 'crash', 'campaign', 'lint', "
-                         "'report', or 'distill' top-level key")
+    walk(DOCUMENT, doc)
 
 
 def load(path):

@@ -4,6 +4,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <map>
 #include <memory>
 #include <ranges>
@@ -220,10 +221,15 @@ class Load : public Archive<Load> {
 
   Load(std::string_view text, std::string* error) : r_(text), error_(error) {}
 
+  // Narrower fields (the kernel's u32 task cursor) are range-checked.
   template <class T>
   bool u64(std::string_view k, T& out) {
     uint64_t v = 0;
     if (!key(k) || !r_.read_u64(&v)) return false;
+    if (v > static_cast<uint64_t>(std::numeric_limits<T>::max())) {
+      return fail("field '" + std::string(k) + "': " + std::to_string(v) +
+                  " exceeds " + std::to_string(std::numeric_limits<T>::max()));
+    }
     out = static_cast<T>(v);
     return true;
   }
@@ -818,8 +824,18 @@ bool CampaignCheckpoint::visit_device(Ar& a, const std::string& id,
             if (!sr.done()) {
               return a.fail("driver state blob does not match driver");
             }
-            d->restore_state_tallies(static_cast<size_t>(current),
-                                     std::move(visits), std::move(matrix));
+            const size_t n_visits = visits.size();
+            const size_t n_cells = matrix.size();
+            if (!d->restore_state_tallies(static_cast<size_t>(current),
+                                          std::move(visits),
+                                          std::move(matrix))) {
+              return a.fail(
+                  "driver " + std::string(d->name()) + ": tallies (current " +
+                  std::to_string(current) + ", " + std::to_string(n_visits) +
+                  " visits, " + std::to_string(n_cells) +
+                  " matrix cells) do not fit its " +
+                  std::to_string(d->state_visits().size()) + " states");
+            }
           }
           return true;
         });

@@ -251,16 +251,29 @@ bool JobRecord::from_value(const obs::JsonValue& v, JobRecord* out,
       return false;
     }
   }
-  if (const auto* p = v.find("pause_requested"); p != nullptr) {
-    rec.pause_requested = p->boolean;
+  for (const auto& [key, field] :
+       {std::pair{"pause_requested", &rec.pause_requested},
+        std::pair{"cancel_requested", &rec.cancel_requested}}) {
+    const auto* p = v.find(key);
+    if (p == nullptr) continue;
+    if (p->kind != obs::JsonValue::Kind::kBool) {
+      *error = std::string("job record: \"") + key + "\" must be a bool";
+      return false;
+    }
+    *field = p->boolean;
   }
-  if (const auto* p = v.find("cancel_requested"); p != nullptr) {
-    rec.cancel_requested = p->boolean;
-  }
-  if (const auto* p = v.find("error"); p != nullptr && p->is_string()) {
+  if (const auto* p = v.find("error"); p != nullptr) {
+    if (!p->is_string()) {
+      *error = "job record: \"error\" must be a string";
+      return false;
+    }
     rec.error = p->scalar;
   }
-  if (const auto* p = v.find("result"); p != nullptr && p->is_object()) {
+  if (const auto* p = v.find("result"); p != nullptr) {
+    if (!p->is_object()) {
+      *error = "job record: \"result\" must be an object";
+      return false;
+    }
     obs::JsonWriter w;
     // Round-trip the result document through the writer to restore the
     // serialized form (raw re-emission keeps it byte-stable because the

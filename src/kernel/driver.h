@@ -291,20 +291,25 @@ class Driver {
   void restore_current_state(size_t s) { cur_state_ = s; }
 
   // Checkpoint support: restores the campaign-cumulative tallies verbatim
-  // (core/fuzz/checkpoint.h). Sizes must match state_names(); mismatched
-  // vectors are ignored so a stale checkpoint cannot corrupt the tallies.
-  void restore_state_tallies(size_t cur, std::vector<uint64_t> visits,
-                             std::vector<uint64_t> matrix) {
+  // (core/fuzz/checkpoint.h). Returns false and changes nothing unless the
+  // vectors match state_names() and `cur` is one of its states (0 for a
+  // driver without a state machine), so a corrupted checkpoint is rejected
+  // instead of resuming with stale tallies.
+  [[nodiscard]] bool restore_state_tallies(size_t cur,
+                                           std::vector<uint64_t> visits,
+                                           std::vector<uint64_t> matrix) {
     if (visits.size() != state_visits_.size() ||
-        matrix.size() != state_matrix_.size()) {
-      return;
+        matrix.size() != state_matrix_.size() ||
+        cur >= std::max<size_t>(visits.size(), 1)) {
+      return false;
     }
-    if (cur < visits.size()) cur_state_ = cur;
+    cur_state_ = cur;
     state_visits_ = std::move(visits);
     state_matrix_ = std::move(matrix);
     states_visited_ = static_cast<size_t>(std::count_if(
         state_visits_.begin(), state_visits_.end(),
         [](uint64_t v) { return v > 0; }));
+    return true;
   }
 
  protected:

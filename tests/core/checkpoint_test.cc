@@ -560,6 +560,39 @@ TEST_F(CheckpointRejectTest, UnknownKeyIsRejectedNamingTheExpectedKey) {
       << error;
 }
 
+TEST_F(CheckpointRejectTest, ShortDriverTallyRowIsRejectedNamingTheDriver) {
+  // Drop the first entry of A1's first non-empty "visits" row.
+  size_t pos = valid_.find("\"visits\":[");
+  while (pos != std::string::npos &&
+         valid_[pos + strlen("\"visits\":[")] == ']') {
+    pos = valid_.find("\"visits\":[", pos + 1);
+  }
+  ASSERT_NE(pos, std::string::npos);
+  const size_t first = pos + strlen("\"visits\":[");
+  const size_t comma = valid_.find(',', first);
+  ASSERT_LT(comma, valid_.find(']', first));
+  std::string doc = valid_;
+  doc.erase(first, comma + 1 - first);
+  std::string error;
+  Daemon d = matching_daemon();
+  EXPECT_FALSE(d.resume(doc, &error));
+  EXPECT_NE(error.find("device A1: driver "), std::string::npos) << error;
+  EXPECT_NE(error.find("do not fit"), std::string::npos) << error;
+}
+
+TEST_F(CheckpointRejectTest, OverwideNarrowCursorIsRejectedNamingTheField) {
+  // The kernel's task cursor is 32 bits wide: 2^32 + 3 must not wrap to 3.
+  const size_t pos = valid_.find("\"next_task\":");
+  ASSERT_NE(pos, std::string::npos);
+  const size_t value = pos + strlen("\"next_task\":");
+  std::string doc = valid_;
+  doc.replace(value, doc.find_first_of(",}", value) - value, "4294967299");
+  std::string error;
+  Daemon d = matching_daemon();
+  EXPECT_FALSE(d.resume(doc, &error));
+  EXPECT_NE(error.find("field 'next_task'"), std::string::npos) << error;
+}
+
 // --- file I/O --------------------------------------------------------------
 
 TEST(CheckpointFiles, WriteReadRoundTripCreatingDirectories) {

@@ -186,6 +186,23 @@ TEST(JobSpec, CountsAreDecodedStrictly) {
     EXPECT_FALSE(JobRecord::from_value(*doc, &rec, &error)) << field;
     EXPECT_NE(error.find("\"" + field + "\""), std::string::npos) << error;
   }
+
+  // Flags, the error text and the result document are kind-checked too: a
+  // number is not a bool, and a mistyped error or result is not dropped.
+  for (const auto& [field, bad] :
+       {std::pair{"pause_requested", "1"}, std::pair{"cancel_requested", "0"},
+        std::pair{"error", "7"}, std::pair{"result", "[]"},
+        std::pair{"result", "\"done\""}}) {
+    const std::string rec_doc = "{\"id\":1,\"state\":\"queued\",\"spec\":" +
+                                spec + ",\"" + field + "\":" + bad + "}";
+    const auto doc = obs::json_parse(rec_doc, &error);
+    ASSERT_TRUE(doc.has_value()) << error;
+    JobRecord rec;
+    EXPECT_FALSE(JobRecord::from_value(*doc, &rec, &error)) << rec_doc;
+    EXPECT_NE(error.find(std::string("job record: \"") + field + "\" must be"),
+              std::string::npos)
+        << error;
+  }
 }
 
 // --- scheduler determinism -------------------------------------------------

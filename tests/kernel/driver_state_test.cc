@@ -106,11 +106,16 @@ TEST_F(DriverStateTest, RestoredTalliesRecountVisitedStates) {
   Rt1711Driver* drv = h.install<Rt1711Driver>();
   h.boot();
   const size_t n = drv->state_visits().size();
-  drv->restore_state_tallies(2, {0, 4, 2}, std::vector<uint64_t>(n * n, 0));
+  ASSERT_TRUE(drv->restore_state_tallies(2, {0, 4, 2},
+                                         std::vector<uint64_t>(n * n, 0)));
   EXPECT_EQ(drv->states_visited(), 2u);
   EXPECT_EQ(drv->current_state(), 2u);
-  drv->restore_state_tallies(0, {1}, {});  // wrong shape: ignored
+  // A wrong shape or an out-of-range current state is refused unapplied.
+  EXPECT_FALSE(drv->restore_state_tallies(0, {1}, {}));
+  EXPECT_FALSE(drv->restore_state_tallies(n, {1, 1, 1},
+                                          std::vector<uint64_t>(n * n, 0)));
   EXPECT_EQ(drv->states_visited(), 2u);
+  EXPECT_EQ(drv->current_state(), 2u);
 }
 
 TEST_F(DriverStateTest, DriversWithoutAStateMachineStayEmpty) {
