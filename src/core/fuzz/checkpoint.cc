@@ -804,8 +804,8 @@ bool CampaignCheckpoint::visit_device(Ar& a, const std::string& id,
           auto visits = a.get([&] { return d->state_visits(); });
           auto matrix = a.get([&] { return d->state_matrix(); });
           auto blob = a.get([&] {
-            kernel::StateBuf sb;
-            d->save_state(sb);
+            kernel::StateArchive sb;
+            d->state(sb);
             return sb.take();
           });
           if (!a.object({}, [&] {
@@ -819,8 +819,8 @@ bool CampaignCheckpoint::visit_device(Ar& a, const std::string& id,
             // Overwrites the post-reboot live fields with the save side's —
             // both sides are freshly barrier-rebooted here, so only the
             // reboot-persistent fields actually change.
-            kernel::StateReader sr(blob);
-            d->load_state(sr);
+            kernel::StateArchive sr(blob);
+            d->state(sr);
             if (!sr.done()) {
               return a.fail("driver state blob does not match driver");
             }

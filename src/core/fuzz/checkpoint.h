@@ -44,10 +44,11 @@ class CampaignCheckpoint {
   // v3: live snapshot state (DESIGN.md §13) — snapshot byte images, the
   // COW pool, the fault-recovery anchor, snapshot-forked queue entries,
   // and the SnapshotStats counters; plus the snapshot_fork operator row.
-  // v4: per-driver live-state blob (save_state image). Reboot-persistent
-  // driver fields (rt1711's probe counter) shape coverage emitted on later
-  // boots, so a resume that re-derives them from a fresh boot diverges
-  // from the uninterrupted run when it resumes early in a campaign.
+  // v4: per-driver live-state blob (the Driver::state walk).
+  // Reboot-persistent driver fields (rt1711's probe counter) shape coverage
+  // emitted on later boots, so a resume that re-derives them from a fresh
+  // boot diverges from the uninterrupted run when it resumes early in a
+  // campaign.
   static constexpr uint64_t kVersion = 4;
 
   // Serializes `daemon` right now. The caller must have barrier-rebooted

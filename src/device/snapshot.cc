@@ -4,20 +4,76 @@ namespace df::device {
 
 namespace {
 
-using kernel::StateBuf;
-using kernel::StateReader;
+using kernel::StateArchive;
 
-std::shared_ptr<const std::vector<uint8_t>> own(StateBuf&& buf) {
-  return std::make_shared<const std::vector<uint8_t>>(buf.take());
+// The device's sections in image order: "kernel", "heap", one "drv/<name>"
+// per driver, "fds/native", one "fds/svc<i>" and then one "hal/<i>" per
+// service.
+struct Layout {
+  size_t drivers = 0;
+  size_t services = 0;
+
+  explicit Layout(Device& dev)
+      : drivers(dev.kernel().drivers().size()),
+        services(dev.services().size()) {}
+
+  size_t count() const { return 3 + drivers + 2 * services; }
+  size_t native_fds() const { return 2 + drivers; }
+  size_t first_service_fds() const { return native_fds() + 1; }
+  size_t first_hal() const { return first_service_fds() + services; }
+};
+
+std::string section_name(Device& dev, const Layout& l, size_t i) {
+  if (i == 0) return "kernel";
+  if (i == 1) return "heap";
+  if (i < l.native_fds()) {
+    return "drv/" + std::string(dev.kernel().drivers()[i - 2]->name());
+  }
+  if (i == l.native_fds()) return "fds/native";
+  if (i < l.first_hal()) {
+    return "fds/svc" + std::to_string(i - l.first_service_fds());
+  }
+  return "hal/" + std::to_string(i - l.first_hal());
 }
 
-// Appends `name` with image `buf`, aliasing the parent's buffer when the
+// Walks section `i` in either direction. Loading applies it too: a driver
+// is reset before its walk and repositioned after it, and a service's
+// native state is wiped before its walk and its dead flag restored after.
+void walk_section(Device& dev, kernel::TaskId native_task, const Layout& l,
+                  size_t i, StateArchive& ar) {
+  kernel::Kernel& k = dev.kernel();
+  if (i == 0) return k.live_state(ar);
+  if (i == 1) return k.kasan().heap().state(ar);
+  if (i < l.native_fds()) {
+    kernel::Driver& d = *k.drivers()[i - 2];
+    uint64_t current = d.current_state();
+    ar.u64(current);
+    if (ar.loading()) d.reset();
+    d.state(ar);
+    if (ar.loading() && ar.ok() && !d.restore_current_state(current)) {
+      ar.fail("current state " + std::to_string(current) + " out of range");
+    }
+    return;
+  }
+  if (i == l.native_fds()) return k.task_files(native_task, ar);
+  if (i < l.first_hal()) {
+    return k.task_files(dev.services()[i - l.first_service_fds()]->task(), ar);
+  }
+  hal::HalService& svc = *dev.services()[i - l.first_hal()];
+  bool dead = svc.dead();
+  ar.b(dead);
+  if (ar.loading()) svc.reset_native_for_snapshot();
+  svc.state(ar);
+  if (ar.loading()) svc.restore_dead(dead);
+}
+
+// Appends `name` with image `bytes`, aliasing the parent's buffer when the
 // bytes are identical (the dirty-struct delta).
 void add_section(StateSnapshot& snap, const StateSnapshot* parent,
-                 std::string name, StateBuf&& buf) {
+                 std::string name, std::vector<uint8_t>&& bytes) {
   if (parent != nullptr) {
     if (const StateSnapshot::Section* p = parent->find(name)) {
-      if (p->bytes != nullptr && *p->bytes == buf.bytes()) {
+      if (p->bytes != nullptr && *p->bytes == bytes) {
         ++snap.sections_shared;
         snap.bytes_shared += p->bytes->size();
         snap.sections.push_back({std::move(name), p->bytes});
@@ -25,7 +81,9 @@ void add_section(StateSnapshot& snap, const StateSnapshot* parent,
       }
     }
   }
-  snap.sections.push_back({std::move(name), own(std::move(buf))});
+  snap.sections.push_back(
+      {std::move(name),
+       std::make_shared<const std::vector<uint8_t>>(std::move(bytes))});
 }
 
 bool fail(std::string* error, const std::string& what) {
@@ -33,170 +91,96 @@ bool fail(std::string* error, const std::string& what) {
   return false;
 }
 
+// The flat image: the bookkeeping counters, then every section as a
+// (name, bytes) pair. Saving only reads `snap`.
+void walk_image(StateArchive& ar, StateSnapshot& snap) {
+  ar.u64(snap.seq);
+  ar.u64(snap.estab_calls);
+  ar.u64(snap.sections_shared);
+  ar.u64(snap.bytes_shared);
+  ar.seq(snap.sections, [&](StateSnapshot::Section& s) {
+    ar.str(s.name);
+    ar.blob(s.bytes);
+  });
+}
+
 }  // namespace
 
 StateSnapshot capture_snapshot(Device& dev, kernel::TaskId native_task,
                                const StateSnapshot* parent) {
-  kernel::Kernel& k = dev.kernel();
+  const Layout layout(dev);
   StateSnapshot snap;
-
-  {
-    StateBuf b;
-    k.save_live(b);
-    add_section(snap, parent, "kernel", std::move(b));
-  }
-  {
-    StateBuf b;
-    k.kasan().heap().save(b);
-    add_section(snap, parent, "heap", std::move(b));
-  }
-  // Drivers before fd tables, mirroring the restore order (load_file_state
-  // may re-link driver side tables that load_state cleared).
-  for (const auto& d : k.drivers()) {
-    StateBuf b;
-    b.u64(d->current_state());
-    d->save_state(b);
-    add_section(snap, parent, "drv/" + std::string(d->name()), std::move(b));
-  }
-  {
-    StateBuf b;
-    k.save_task_files(native_task, b);
-    add_section(snap, parent, "fds/native", std::move(b));
-  }
-  const auto& services = dev.services();
-  for (size_t i = 0; i < services.size(); ++i) {
-    StateBuf b;
-    k.save_task_files(services[i]->task(), b);
-    add_section(snap, parent, "fds/svc" + std::to_string(i), std::move(b));
-  }
-  for (size_t i = 0; i < services.size(); ++i) {
-    StateBuf b;
-    b.b(services[i]->dead());
-    services[i]->save_native(b);
-    add_section(snap, parent, "hal/" + std::to_string(i), std::move(b));
+  // Drivers come before fd tables, as in the restore order (a driver's
+  // file_state() may re-link side tables its state() walk cleared).
+  for (size_t i = 0; i < layout.count(); ++i) {
+    StateArchive ar;
+    walk_section(dev, native_task, layout, i, ar);
+    add_section(snap, parent, section_name(dev, layout, i), ar.take());
   }
   return snap;
 }
 
 bool restore_snapshot(Device& dev, kernel::TaskId native_task,
                       const StateSnapshot& snap, std::string* error) {
-  kernel::Kernel& k = dev.kernel();
-  const auto& services = dev.services();
+  const Layout layout(dev);
 
   // Shape check up front so a mismatched snapshot never half-applies.
-  const size_t expect =
-      2 + k.drivers().size() + 1 + 2 * services.size();
-  if (snap.sections.size() != expect) {
+  if (snap.sections.size() != layout.count()) {
     return fail(error, "section count mismatch (snapshot " +
                            std::to_string(snap.sections.size()) +
-                           ", device " + std::to_string(expect) + ")");
+                           ", device " + std::to_string(layout.count()) + ")");
   }
-  for (const auto& d : k.drivers()) {
-    if (snap.find("drv/" + std::string(d->name())) == nullptr) {
-      return fail(error,
-                  "missing driver section '" + std::string(d->name()) + "'");
+  std::vector<const std::vector<uint8_t>*> images(layout.count());
+  for (size_t i = 0; i < layout.count(); ++i) {
+    const std::string name = section_name(dev, layout, i);
+    const StateSnapshot::Section* s = snap.find(name);
+    if (s == nullptr || s->bytes == nullptr) {
+      return fail(error, "missing section '" + name + "'");
     }
+    images[i] = s->bytes.get();
   }
 
   // 1. Revive dead services first: restart() mints the fresh kernel task
   //    whose fd table the snapshot is about to repopulate.
-  for (const auto& svc : services) {
+  for (const auto& svc : dev.services()) {
     if (svc->dead()) svc->restart();
   }
-  k.clear_panic();
+  dev.kernel().clear_panic();
 
-  // 2. Drivers: wholesale reset, then reload. Reset before load so stale
-  //    side tables (l2cap's listener map) never survive into the restored
-  //    state; per-file reload below re-links them.
-  for (const auto& d : k.drivers()) {
-    const StateSnapshot::Section* s =
-        snap.find("drv/" + std::string(d->name()));
-    d->reset();
-    StateReader r(*s->bytes);
-    const size_t cur = static_cast<size_t>(r.u64());
-    d->load_state(r);
-    if (!r.done()) {
-      return fail(error, "driver section '" + std::string(d->name()) +
-                             "' did not parse cleanly");
-    }
-    d->restore_current_state(cur);
+  auto apply = [&](size_t i) {
+    StateArchive ar(*images[i]);
+    walk_section(dev, native_task, layout, i, ar);
+    if (ar.done()) return true;
+    return fail(error, "section '" + section_name(dev, layout, i) + "': " +
+                           (ar.ok() ? "trailing bytes" : ar.error()));
+  };
+  // 2. Drivers: each is reset before it loads, so stale side tables
+  //    (l2cap's listener map) never survive; per-file loads re-link them.
+  for (size_t i = 0; i < layout.drivers; ++i) {
+    if (!apply(2 + i)) return false;
   }
-
-  // 3. Heap + kernel cursors/mappings/RNG.
-  {
-    StateReader r(*snap.find("heap")->bytes);
-    k.kasan().heap().load(r);
-    if (!r.done()) return fail(error, "heap section did not parse cleanly");
-  }
-  {
-    StateReader r(*snap.find("kernel")->bytes);
-    k.load_live(r);
-    if (!r.done()) return fail(error, "kernel section did not parse cleanly");
-  }
-
-  // 4. Fd tables (driver per-open state reloads inside, which may re-link
-  //    the driver side tables cleared in step 2).
-  {
-    StateReader r(*snap.find("fds/native")->bytes);
-    if (!k.load_task_files(native_task, r) || !r.done()) {
-      return fail(error, "native fd table did not parse cleanly");
-    }
-  }
-  for (size_t i = 0; i < services.size(); ++i) {
-    StateReader r(*snap.find("fds/svc" + std::to_string(i))->bytes);
-    if (!k.load_task_files(services[i]->task(), r) || !r.done()) {
-      return fail(error,
-                  "service " + std::to_string(i) + " fd table did not parse");
-    }
-  }
-
-  // 5. HAL native state last: the fds it caches now refer to the restored
-  //    tables.
-  for (size_t i = 0; i < services.size(); ++i) {
-    StateReader r(*snap.find("hal/" + std::to_string(i))->bytes);
-    const bool dead = r.b();
-    services[i]->reset_native_for_snapshot();
-    services[i]->load_native(r);
-    if (!r.done()) {
-      return fail(error, "service " + std::to_string(i) +
-                             " native section did not parse cleanly");
-    }
-    services[i]->restore_dead(dead);
+  // 3. Heap, then kernel RNG/mappings. 4. Fd tables (driver per-open state
+  //    loads inside). 5. HAL native state last: the fds it caches now refer
+  //    to the restored tables.
+  if (!apply(1) || !apply(0)) return false;
+  for (size_t i = layout.native_fds(); i < layout.count(); ++i) {
+    if (!apply(i)) return false;
   }
   return true;
 }
 
 std::vector<uint8_t> snapshot_to_bytes(const StateSnapshot& snap) {
-  StateBuf b;
-  b.u64(snap.seq);
-  b.u64(snap.estab_calls);
-  b.u64(snap.sections_shared);
-  b.u64(snap.bytes_shared);
-  b.u32(static_cast<uint32_t>(snap.sections.size()));
-  for (const auto& s : snap.sections) {
-    b.str(s.name);
-    static const std::vector<uint8_t> kEmpty;
-    b.blob(s.bytes ? *s.bytes : kEmpty);
-  }
-  return b.take();
+  StateArchive ar;
+  walk_image(ar, const_cast<StateSnapshot&>(snap));
+  return ar.take();
 }
 
 bool snapshot_from_bytes(std::span<const uint8_t> data, StateSnapshot* out,
                          std::string* error) {
-  StateReader r(data);
+  StateArchive ar(data);
   StateSnapshot snap;
-  snap.seq = r.u64();
-  snap.estab_calls = r.u64();
-  snap.sections_shared = static_cast<size_t>(r.u64());
-  snap.bytes_shared = static_cast<size_t>(r.u64());
-  const uint32_t n = r.u32();
-  for (uint32_t i = 0; i < n && r.ok(); ++i) {
-    StateSnapshot::Section s;
-    s.name = r.str();
-    s.bytes = std::make_shared<const std::vector<uint8_t>>(r.blob());
-    snap.sections.push_back(std::move(s));
-  }
-  if (!r.done()) return fail(error, "byte image did not parse cleanly");
+  walk_image(ar, snap);
+  if (!ar.done()) return fail(error, "byte image did not parse cleanly");
   *out = std::move(snap);
   return true;
 }

@@ -43,8 +43,8 @@ struct StateSnapshot {
   uint64_t seq = 0;
   uint64_t estab_calls = 0;
   // Dirty-struct delta stats, set at capture time.
-  size_t sections_shared = 0;  // sections aliasing the parent's buffer
-  size_t bytes_shared = 0;     // bytes in those shared sections
+  uint64_t sections_shared = 0;  // sections aliasing the parent's buffer
+  uint64_t bytes_shared = 0;     // bytes in those shared sections
 
   size_t total_bytes() const {
     size_t n = 0;
@@ -68,9 +68,11 @@ StateSnapshot capture_snapshot(Device& dev, kernel::TaskId native_task,
 
 // Restores `snap` onto `dev`: revives dead services, resets + reloads every
 // driver, replaces heap/fd/mapping state, repositions the kernel RNG, and
-// clears any latched panic. Returns false and fills `error` (if non-null)
-// when the snapshot does not match the device shape; the device state is
-// then unspecified and the caller should reboot.
+// clears any latched panic. Returns false and fills `error` (if non-null,
+// "snapshot: ...", naming the section) when the snapshot does not match
+// the device shape or a section image is corrupt (see the rejection rules
+// of the component walks); the device state is then unspecified and the
+// caller should reboot.
 bool restore_snapshot(Device& dev, kernel::TaskId native_task,
                       const StateSnapshot& snap, std::string* error = nullptr);
 

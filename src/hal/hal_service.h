@@ -73,15 +73,14 @@ class HalService : public IBinder {
   kernel::Kernel& kernel() { return kernel_; }
 
   // --- snapshot support (DESIGN.md §13) --------------------------------------
-  // Serializes/restores the service's *live* native state: every field
-  // reset_native() would wipe, including cached kernel fds (the fd table
-  // itself is captured separately by the kernel layer; the values stored
-  // here must refer to the restored table). Crash history stays host-side
-  // and is never restored.
-  virtual void save_native(kernel::StateBuf&) const {}
-  virtual void load_native(kernel::StateReader&) {}
-  // Wipes native state in place (no task churn) so load_native() starts
-  // from the same blank slate a restart would give it.
+  // One walk over the service's *live* native state, in either direction
+  // (kernel/snapshot.h): every field reset_native() would wipe, including
+  // cached kernel fds, each named once. The fd table itself is walked
+  // separately by the kernel layer; the fd values here must refer to the
+  // restored table. Crash history stays host-side and is never restored.
+  virtual void state(kernel::StateArchive&) {}
+  // Wipes native state in place (no task churn) so a loading state() walk
+  // starts from the same blank slate a restart would give it.
   void reset_native_for_snapshot() { reset_native(); }
   // Restores the supervisor's dead flag without a restart round-trip.
   void restore_dead(bool d) { dead_ = d; }

@@ -27,33 +27,16 @@ class AudioHal final : public HalService {
   InterfaceDesc interface() const override;
   std::vector<UsageWeight> app_usage_profile() const override;
 
-  void save_native(kernel::StateBuf& b) const override {
-    b.u32(next_stream_);
-    b.u32(volume_);
-    b.u32(static_cast<uint32_t>(streams_.size()));
-    for (const auto& [id, s] : streams_) {  // std::map: already id-sorted
-      b.u32(id);
-      b.i32(s.fd);
-      b.u32(s.rate);
-      b.u32(s.channels);
-      b.u32(s.fmt);
-      b.b(s.running);
-    }
-  }
-  void load_native(kernel::StateReader& r) override {
-    next_stream_ = r.u32();
-    volume_ = r.u32();
-    const uint32_t n = r.u32();
-    for (uint32_t i = 0; i < n && r.ok(); ++i) {
-      const uint32_t id = r.u32();
-      Stream s;
-      s.fd = r.i32();
-      s.rate = r.u32();
-      s.channels = r.u32();
-      s.fmt = r.u32();
-      s.running = r.b();
-      streams_[id] = s;
-    }
+  void state(kernel::StateArchive& ar) override {
+    ar.u32(next_stream_);
+    ar.u32(volume_);
+    ar.map(streams_, [&](Stream& s) {
+      ar.i32(s.fd);
+      ar.u32(s.rate);
+      ar.u32(s.channels);
+      ar.u32(s.fmt);
+      ar.b(s.running);
+    });
   }
 
  protected:

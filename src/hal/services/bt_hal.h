@@ -35,33 +35,16 @@ class BtHal final : public HalService {
   InterfaceDesc interface() const override;
   std::vector<UsageWeight> app_usage_profile() const override;
 
-  void save_native(kernel::StateBuf& b) const override {
-    b.i32(hci_fd_);
-    b.b(enabled_);
-    b.u32(next_profile_);
-    b.u32(static_cast<uint32_t>(profiles_.size()));
-    for (const auto& [id, p] : profiles_) {  // std::map: already id-sorted
-      b.u32(id);
-      b.i32(p.fd);
-      b.b(p.listener);
-      b.b(p.configured);
-      b.u16(p.psm);
-    }
-  }
-  void load_native(kernel::StateReader& r) override {
-    hci_fd_ = r.i32();
-    enabled_ = r.b();
-    next_profile_ = r.u32();
-    const uint32_t n = r.u32();
-    for (uint32_t i = 0; i < n && r.ok(); ++i) {
-      const uint32_t id = r.u32();
-      Profile p;
-      p.fd = r.i32();
-      p.listener = r.b();
-      p.configured = r.b();
-      p.psm = r.u16();
-      profiles_[id] = p;
-    }
+  void state(kernel::StateArchive& ar) override {
+    ar.i32(hci_fd_);
+    ar.b(enabled_);
+    ar.u32(next_profile_);
+    ar.map(profiles_, [&](Profile& p) {
+      ar.i32(p.fd);
+      ar.b(p.listener);
+      ar.b(p.configured);
+      ar.u16(p.psm);
+    });
   }
 
  protected:

@@ -42,39 +42,19 @@ class CameraHal final : public HalService {
   InterfaceDesc interface() const override;
   std::vector<UsageWeight> app_usage_profile() const override;
 
-  void save_native(kernel::StateBuf& b) const override {
-    b.i32(video_fd_);
-    b.i32(ion_fd_);
-    b.u32(next_cam_);
-    b.u32(static_cast<uint32_t>(cams_.size()));
-    for (const auto& [id, c] : cams_) {  // std::map: already id-sorted
-      b.u32(id);
-      b.u32(c.sensor_id);
-      b.u32(c.streams);
-      b.u32(c.w);
-      b.u32(c.h);
-      b.b(c.zsl);
-      b.b(c.streaming);
-      b.u32(c.ion_id);
-    }
-  }
-  void load_native(kernel::StateReader& r) override {
-    video_fd_ = r.i32();
-    ion_fd_ = r.i32();
-    next_cam_ = r.u32();
-    const uint32_t n = r.u32();
-    for (uint32_t i = 0; i < n && r.ok(); ++i) {
-      const uint32_t id = r.u32();
-      Camera c;
-      c.sensor_id = r.u32();
-      c.streams = r.u32();
-      c.w = r.u32();
-      c.h = r.u32();
-      c.zsl = r.b();
-      c.streaming = r.b();
-      c.ion_id = r.u32();
-      cams_[id] = c;
-    }
+  void state(kernel::StateArchive& ar) override {
+    ar.i32(video_fd_);
+    ar.i32(ion_fd_);
+    ar.u32(next_cam_);
+    ar.map(cams_, [&](Camera& c) {
+      ar.u32(c.sensor_id);
+      ar.u32(c.streams);
+      ar.u32(c.w);
+      ar.u32(c.h);
+      ar.b(c.zsl);
+      ar.b(c.streaming);
+      ar.u32(c.ion_id);
+    });
   }
 
  protected:

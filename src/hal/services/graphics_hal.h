@@ -35,43 +35,21 @@ class GraphicsHal final : public HalService {
   InterfaceDesc interface() const override;
   std::vector<UsageWeight> app_usage_profile() const override;
 
-  void save_native(kernel::StateBuf& b) const override {
-    b.i32(drm_fd_);
-    b.i32(ion_fd_);
-    b.u32(next_layer_);
-    b.u32(color_mode_);
-    b.b(vsync_on_);
-    b.u32(static_cast<uint32_t>(layers_.size()));
-    for (const auto& [id, l] : layers_) {  // std::map: already id-sorted
-      b.u32(id);
-      b.u32(l.w);
-      b.u32(l.h);
-      b.u32(l.format);
-      b.u32(l.stride);
-      b.b(l.buffer_set);
-      b.u32(l.bo_handle);
-      b.u32(l.ion_id);
-    }
-  }
-  void load_native(kernel::StateReader& r) override {
-    drm_fd_ = r.i32();
-    ion_fd_ = r.i32();
-    next_layer_ = r.u32();
-    color_mode_ = r.u32();
-    vsync_on_ = r.b();
-    const uint32_t n = r.u32();
-    for (uint32_t i = 0; i < n && r.ok(); ++i) {
-      const uint32_t id = r.u32();
-      Layer l;
-      l.w = r.u32();
-      l.h = r.u32();
-      l.format = r.u32();
-      l.stride = r.u32();
-      l.buffer_set = r.b();
-      l.bo_handle = r.u32();
-      l.ion_id = r.u32();
-      layers_[id] = l;
-    }
+  void state(kernel::StateArchive& ar) override {
+    ar.i32(drm_fd_);
+    ar.i32(ion_fd_);
+    ar.u32(next_layer_);
+    ar.u32(color_mode_);
+    ar.b(vsync_on_);
+    ar.map(layers_, [&](Layer& l) {
+      ar.u32(l.w);
+      ar.u32(l.h);
+      ar.u32(l.format);
+      ar.u32(l.stride);
+      ar.b(l.buffer_set);
+      ar.u32(l.bo_handle);
+      ar.u32(l.ion_id);
+    });
   }
 
  protected:

@@ -22,16 +22,10 @@ class LightHal final : public HalService {
   InterfaceDesc interface() const override;
   std::vector<UsageWeight> app_usage_profile() const override;
 
-  void save_native(kernel::StateBuf& b) const override {
-    for (const auto& l : lights_) {
-      b.u32(l.argb);
-      b.u32(l.mode);
-    }
-  }
-  void load_native(kernel::StateReader& r) override {
+  void state(kernel::StateArchive& ar) override {
     for (auto& l : lights_) {
-      l.argb = r.u32();
-      l.mode = r.u32();
+      ar.u32(l.argb);
+      ar.u32(l.mode);
     }
   }
 

@@ -45,43 +45,21 @@ class MediaHal final : public HalService {
   InterfaceDesc interface() const override;
   std::vector<UsageWeight> app_usage_profile() const override;
 
-  void save_native(kernel::StateBuf& b) const override {
-    b.i32(mali_fd_);
-    b.i32(ion_fd_);
-    b.u32(next_session_);
-    b.u32(static_cast<uint32_t>(sessions_.size()));
-    for (const auto& [id, s] : sessions_) {  // std::map: already id-sorted
-      b.u32(id);
-      b.u32(s.codec);
-      b.u32(s.w);
-      b.u32(s.h);
-      b.u32(s.bitrate);
-      b.u32(s.frame_size);
-      b.b(s.configured);
-      b.b(s.started);
-      b.u32(s.mali_ctx);
-      b.u32(s.ion_id);
-    }
-  }
-  void load_native(kernel::StateReader& r) override {
-    mali_fd_ = r.i32();
-    ion_fd_ = r.i32();
-    next_session_ = r.u32();
-    const uint32_t n = r.u32();
-    for (uint32_t i = 0; i < n && r.ok(); ++i) {
-      const uint32_t id = r.u32();
-      Session s;
-      s.codec = r.u32();
-      s.w = r.u32();
-      s.h = r.u32();
-      s.bitrate = r.u32();
-      s.frame_size = r.u32();
-      s.configured = r.b();
-      s.started = r.b();
-      s.mali_ctx = r.u32();
-      s.ion_id = r.u32();
-      sessions_[id] = s;
-    }
+  void state(kernel::StateArchive& ar) override {
+    ar.i32(mali_fd_);
+    ar.i32(ion_fd_);
+    ar.u32(next_session_);
+    ar.map(sessions_, [&](Session& s) {
+      ar.u32(s.codec);
+      ar.u32(s.w);
+      ar.u32(s.h);
+      ar.u32(s.bitrate);
+      ar.u32(s.frame_size);
+      ar.b(s.configured);
+      ar.b(s.started);
+      ar.u32(s.mali_ctx);
+      ar.u32(s.ion_id);
+    });
   }
 
  protected:

@@ -28,19 +28,12 @@ class PowerHal final : public HalService {
   InterfaceDesc interface() const override;
   std::vector<UsageWeight> app_usage_profile() const override;
 
-  void save_native(kernel::StateBuf& b) const override {
-    b.i32(tcpc_fd_);
-    b.i32(rt_fd_);
-    b.b(usb_ready_);
-    b.u32(boost_);
-    b.u32(mode_);
-  }
-  void load_native(kernel::StateReader& r) override {
-    tcpc_fd_ = r.i32();
-    rt_fd_ = r.i32();
-    usb_ready_ = r.b();
-    boost_ = r.u32();
-    mode_ = r.u32();
+  void state(kernel::StateArchive& ar) override {
+    ar.i32(tcpc_fd_);
+    ar.i32(rt_fd_);
+    ar.b(usb_ready_);
+    ar.u32(boost_);
+    ar.u32(mode_);
   }
 
  protected:

@@ -25,8 +25,7 @@ class SensorsHal final : public HalService {
   InterfaceDesc interface() const override;
   std::vector<UsageWeight> app_usage_profile() const override;
 
-  void save_native(kernel::StateBuf& b) const override { b.i32(hub_fd_); }
-  void load_native(kernel::StateReader& r) override { hub_fd_ = r.i32(); }
+  void state(kernel::StateArchive& ar) override { ar.i32(hub_fd_); }
 
  protected:
   TxResult on_transact(uint32_t code, Parcel& data) override;

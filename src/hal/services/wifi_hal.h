@@ -26,13 +26,9 @@ class WifiHal final : public HalService {
   InterfaceDesc interface() const override;
   std::vector<UsageWeight> app_usage_profile() const override;
 
-  void save_native(kernel::StateBuf& b) const override {
-    b.i32(wifi_fd_);
-    b.b(scanned_);
-  }
-  void load_native(kernel::StateReader& r) override {
-    wifi_fd_ = r.i32();
-    scanned_ = r.b();
+  void state(kernel::StateArchive& ar) override {
+    ar.i32(wifi_fd_);
+    ar.b(scanned_);
   }
 
  protected:

@@ -269,26 +269,32 @@ class Driver {
   }
 
   // --- snapshot support (DESIGN.md §13) -------------------------------------
-  // Serializes/restores the driver's *live* protocol state: every field
-  // reset() would wipe, plus per-boot fields a reboot keeps (rt1711's probe
-  // counter). load_state() runs right after reset(), so a driver only needs
-  // to write back what save_state() recorded. Campaign-cumulative tallies
+  // One walk over the driver's *live* protocol state, in either direction
+  // (kernel/snapshot.h): every field reset() would wipe, plus per-boot
+  // fields a reboot keeps (rt1711's probe counter), each named once. A
+  // snapshot restore loads right after reset(); a checkpoint resume loads
+  // over a freshly rebooted driver. Campaign-cumulative tallies
   // (state_visits/state_matrix) and cur_state_ are handled by the snapshot
-  // layer itself — do not write them here. The per-driver property test
-  // (tests/property) catches implementations that forget a field.
-  virtual void save_state(StateBuf&) const {}
-  virtual void load_state(StateReader&) {}
-  // Per-open-file private state (File::priv): called once per unique File
+  // layer itself — do not walk them here. The per-driver property test
+  // (tests/property) catches a walk that forgets a field.
+  virtual void state(StateArchive&) {}
+  // Per-open-file private state (File::priv), walked once per unique File
   // owned by this driver. Drivers without per-open state (plain ioctl
-  // devices) keep the no-op defaults. load_file_state() may also re-link
-  // global side tables that point into File priv (l2cap's listener map).
-  virtual void save_file_state(const File&, StateBuf&) const {}
-  virtual void load_file_state(File&, StateReader&) {}
+  // devices) keep the no-op default. Loading may also re-link global side
+  // tables that point into File priv (l2cap's listener map).
+  virtual void file_state(File&, StateArchive&) {}
 
   // Snapshot support: repositions the live state machine without touching
   // the campaign-cumulative tallies (a restore is not a protocol
-  // transition, exactly like a reboot is not one).
-  void restore_current_state(size_t s) { cur_state_ = s; }
+  // transition, exactly like a reboot is not one). Returns false and
+  // changes nothing unless `s` is one of the driver's states (0 for a
+  // driver without a state machine) — the rule restore_state_tallies()
+  // applies to checkpoints.
+  [[nodiscard]] bool restore_current_state(size_t s) {
+    if (s >= std::max<size_t>(state_visits_.size(), 1)) return false;
+    cur_state_ = s;
+    return true;
+  }
 
   // Checkpoint support: restores the campaign-cumulative tallies verbatim
   // (core/fuzz/checkpoint.h). Returns false and changes nothing unless the

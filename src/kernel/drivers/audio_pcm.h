@@ -41,19 +41,12 @@ class AudioPcmDriver final : public Driver {
   void probe(DriverCtx& ctx) override;
   void reset() override;
 
-  void save_state(StateBuf& b) const override {
-    b.u32(static_cast<uint32_t>(st_));
-    b.u32(rate_);
-    b.u32(channels_);
-    b.u32(fmt_);
-    b.u64(frames_written_);
-  }
-  void load_state(StateReader& r) override {
-    st_ = static_cast<St>(r.u32());
-    rate_ = r.u32();
-    channels_ = r.u32();
-    fmt_ = r.u32();
-    frames_written_ = r.u64();
+  void state(StateArchive& ar) override {
+    ar.enumeration(st_);
+    ar.u32(rate_);
+    ar.u32(channels_);
+    ar.u32(fmt_);
+    ar.u64(frames_written_);
   }
 
   int64_t ioctl(DriverCtx& ctx, File& f, uint64_t req,

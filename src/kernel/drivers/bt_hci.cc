@@ -278,41 +278,21 @@ void BtHciDriver::release(DriverCtx& ctx, File&) {
   ctx.cov(130);
 }
 
-void BtHciDriver::save_state(StateBuf& b) const {
-  b.b(adapter_up_);
-  b.u64(event_mask_);
-  b.u64(codec_buf_);
-  b.u32(codec_count_);
-  b.u32(codec_capacity_);
-  b.u32(cmds_handled_);
-  b.b(vendor_unlocked_);
+void BtHciDriver::state(StateArchive& ar) {
+  ar.b(adapter_up_);
+  ar.u64(event_mask_);
+  ar.u64(codec_buf_);
+  ar.u32(codec_count_);
+  ar.u32(codec_capacity_);
+  ar.u32(cmds_handled_);
+  ar.b(vendor_unlocked_);
 }
 
-void BtHciDriver::load_state(StateReader& r) {
-  adapter_up_ = r.b();
-  event_mask_ = r.u64();
-  codec_buf_ = r.u64();
-  codec_count_ = r.u32();
-  codec_capacity_ = r.u32();
-  cmds_handled_ = r.u32();
-  vendor_unlocked_ = r.b();
-}
-
-void BtHciDriver::save_file_state(const File& f, StateBuf& b) const {
-  const auto* ss = f.state<SockState>();
-  b.b(ss != nullptr);
-  if (ss == nullptr) return;
-  b.b(ss->bound);
-  b.u32(static_cast<uint32_t>(ss->events.size()));
-  for (const auto& ev : ss->events) b.blob(ev);
-}
-
-void BtHciDriver::load_file_state(File& f, StateReader& r) {
-  if (!r.b()) return;
-  auto* ss = f.make_state<SockState>();
-  ss->bound = r.b();
-  const uint32_t n = r.u32();
-  for (uint32_t i = 0; i < n && r.ok(); ++i) ss->events.push_back(r.blob());
+void BtHciDriver::file_state(File& f, StateArchive& ar) {
+  ar.optional<SockState>(f.priv, [&](SockState& ss) {
+    ar.b(ss.bound);
+    ar.seq(ss.events, [&](std::vector<uint8_t>& ev) { ar.blob(ev); });
+  });
 }
 
 }  // namespace df::kernel::drivers

@@ -47,10 +47,8 @@ class BtHciDriver final : public Driver {
   void probe(DriverCtx& ctx) override;
   void reset() override;
 
-  void save_state(StateBuf& b) const override;
-  void load_state(StateReader& r) override;
-  void save_file_state(const File& f, StateBuf& b) const override;
-  void load_file_state(File& f, StateReader& r) override;
+  void state(StateArchive& ar) override;
+  void file_state(File& f, StateArchive& ar) override;
 
   std::vector<std::string> state_names() const override {
     return {"down", "up", "vendor_unlocked"};

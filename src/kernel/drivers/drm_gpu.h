@@ -38,27 +38,13 @@ class DrmGpuDriver final : public Driver {
   void probe(DriverCtx& ctx) override;
   void reset() override;
 
-  void save_state(StateBuf& b) const override {
-    b.u32(next_handle_);
-    b.u32(next_fence_);
-    b.u32(static_cast<uint32_t>(bos_.size()));
-    for (const auto& [h, bo] : bos_) {  // std::map: already handle-sorted
-      b.u32(h);
-      b.u32(bo.pages);
-      b.b(bo.mapped);
-    }
-  }
-  void load_state(StateReader& r) override {
-    next_handle_ = r.u32();
-    next_fence_ = r.u32();
-    const uint32_t n = r.u32();
-    for (uint32_t i = 0; i < n && r.ok(); ++i) {
-      const uint32_t h = r.u32();
-      Bo bo;
-      bo.pages = r.u32();
-      bo.mapped = r.b();
-      bos_[h] = bo;
-    }
+  void state(StateArchive& ar) override {
+    ar.u32(next_handle_);
+    ar.u32(next_fence_);
+    ar.map(bos_, [&](Bo& bo) {
+      ar.u32(bo.pages);
+      ar.b(bo.mapped);
+    });
   }
 
   int64_t ioctl(DriverCtx& ctx, File& f, uint64_t req,

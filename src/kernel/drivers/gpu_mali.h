@@ -54,27 +54,13 @@ class MaliDriver final : public Driver {
   void probe(DriverCtx& ctx) override;
   void reset() override;
 
-  void save_state(StateBuf& b) const override {
-    b.u32(next_ctx_);
-    b.u32(static_cast<uint32_t>(ctxs_.size()));
-    for (const auto& [id, c] : ctxs_) {  // std::map: already id-sorted
-      b.u32(id);
-      b.u32(c.pool_pages);
-      b.u64(c.jobs_run);
-      b.u32(c.completed_batches);
-    }
-  }
-  void load_state(StateReader& r) override {
-    next_ctx_ = r.u32();
-    const uint32_t n = r.u32();
-    for (uint32_t i = 0; i < n && r.ok(); ++i) {
-      const uint32_t id = r.u32();
-      GpuCtx c;
-      c.pool_pages = r.u32();
-      c.jobs_run = r.u64();
-      c.completed_batches = r.u32();
-      ctxs_[id] = c;
-    }
+  void state(StateArchive& ar) override {
+    ar.u32(next_ctx_);
+    ar.map(ctxs_, [&](GpuCtx& c) {
+      ar.u32(c.pool_pages);
+      ar.u64(c.jobs_run);
+      ar.u32(c.completed_batches);
+    });
   }
 
   int64_t ioctl(DriverCtx& ctx, File& f, uint64_t req,

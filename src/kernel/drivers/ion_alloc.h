@@ -34,27 +34,13 @@ class IonDriver final : public Driver {
   void probe(DriverCtx& ctx) override;
   void reset() override;
 
-  void save_state(StateBuf& b) const override {
-    b.u32(next_id_);
-    b.u32(static_cast<uint32_t>(bufs_.size()));
-    for (const auto& [id, buf] : bufs_) {  // std::map: already id-sorted
-      b.u32(id);
-      b.u32(buf.len);
-      b.u32(buf.heap);
-      b.b(buf.shared);
-    }
-  }
-  void load_state(StateReader& r) override {
-    next_id_ = r.u32();
-    const uint32_t n = r.u32();
-    for (uint32_t i = 0; i < n && r.ok(); ++i) {
-      const uint32_t id = r.u32();
-      Buf buf;
-      buf.len = r.u32();
-      buf.heap = r.u32();
-      buf.shared = r.b();
-      bufs_[id] = buf;
-    }
+  void state(StateArchive& ar) override {
+    ar.u32(next_id_);
+    ar.map(bufs_, [&](Buf& buf) {
+      ar.u32(buf.len);
+      ar.u32(buf.heap);
+      ar.b(buf.shared);
+    });
   }
 
   int64_t ioctl(DriverCtx& ctx, File& f, uint64_t req,

@@ -275,51 +275,25 @@ void L2capDriver::release(DriverCtx& ctx, File& f) {
   }
 }
 
-void L2capDriver::save_state(StateBuf& b) const {
-  // listeners_ holds raw pointers into File priv; it is rebuilt by
-  // load_file_state() when the listening sockets reload.
-  b.u32(static_cast<uint32_t>(bound_.size()));
-  for (const auto& [psm, n] : bound_) {  // std::map: already psm-sorted
-    b.u16(psm);
-    b.u32(n);
-  }
+void L2capDriver::state(StateArchive& ar) {
+  // listeners_ holds raw pointers into File priv; file_state() re-links it
+  // when the listening sockets load.
+  ar.map(bound_, [&](uint32_t& n) { ar.u32(n); });
 }
 
-void L2capDriver::load_state(StateReader& r) {
-  const uint32_t n = r.u32();
-  for (uint32_t i = 0; i < n && r.ok(); ++i) {
-    const uint16_t psm = r.u16();
-    bound_[psm] = r.u32();
-  }
-}
-
-void L2capDriver::save_file_state(const File& f, StateBuf& b) const {
-  const auto* ss = f.state<SockState>();
-  b.b(ss != nullptr);
-  if (ss == nullptr) return;
-  b.u32(static_cast<uint32_t>(ss->st));
-  b.u16(ss->psm);
-  b.u32(ss->mtu);
-  b.u32(ss->backlog);
-  b.u32(ss->pending);
-  b.u64(ss->accept_q);
-  b.u64(ss->parent_q);
-  b.u64(ss->tx);
-}
-
-void L2capDriver::load_file_state(File& f, StateReader& r) {
-  if (!r.b()) return;
-  auto* ss = f.make_state<SockState>();
-  ss->st = static_cast<Chan>(r.u32());
-  ss->psm = r.u16();
-  ss->mtu = r.u32();
-  ss->backlog = r.u32();
-  ss->pending = r.u32();
-  ss->accept_q = r.u64();
-  ss->parent_q = r.u64();
-  ss->tx = r.u64();
-  // Re-link the adapter-global listener table (reset() just cleared it).
-  if (ss->st == Chan::kListening) listeners_[ss->psm] = ss;
+void L2capDriver::file_state(File& f, StateArchive& ar) {
+  ar.optional<SockState>(f.priv, [&](SockState& ss) {
+    ar.enumeration(ss.st);
+    ar.u16(ss.psm);
+    ar.u32(ss.mtu);
+    ar.u32(ss.backlog);
+    ar.u32(ss.pending);
+    ar.u64(ss.accept_q);
+    ar.u64(ss.parent_q);
+    ar.u64(ss.tx);
+    // Re-link the adapter-global listener table (reset() just cleared it).
+    if (ar.loading() && ss.st == Chan::kListening) listeners_[ss.psm] = &ss;
+  });
 }
 
 }  // namespace df::kernel::drivers

@@ -65,10 +65,8 @@ class L2capDriver final : public Driver {
   void probe(DriverCtx& ctx) override;
   void reset() override;
 
-  void save_state(StateBuf& b) const override;
-  void load_state(StateReader& r) override;
-  void save_file_state(const File& f, StateBuf& b) const override;
-  void load_file_state(File& f, StateReader& r) override;
+  void state(StateArchive& ar) override;
+  void file_state(File& f, StateArchive& ar) override;
 
   int64_t sock_create(DriverCtx& ctx, File& f) override;
   int64_t bind(DriverCtx& ctx, File& f,

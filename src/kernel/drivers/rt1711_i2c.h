@@ -45,23 +45,14 @@ class Rt1711Driver final : public Driver {
   void probe(DriverCtx& ctx) override;
   void reset() override;
 
-  void save_state(StateBuf& b) const override {
-    b.u32(static_cast<uint32_t>(chip_));
-    b.u32(mode_);
-    b.u32(cc1_);
-    b.u32(cc2_);
-    b.u32(vbus_mv_);
-    b.u32(alert_mask_);
-    b.u32(probe_count_);  // per-boot, but part of the observable state
-  }
-  void load_state(StateReader& r) override {
-    chip_ = static_cast<Chip>(r.u32());
-    mode_ = r.u32();
-    cc1_ = r.u32();
-    cc2_ = r.u32();
-    vbus_mv_ = r.u32();
-    alert_mask_ = r.u32();
-    probe_count_ = r.u32();
+  void state(StateArchive& ar) override {
+    ar.enumeration(chip_);
+    ar.u32(mode_);
+    ar.u32(cc1_);
+    ar.u32(cc2_);
+    ar.u32(vbus_mv_);
+    ar.u32(alert_mask_);
+    ar.u32(probe_count_);  // per-boot, but part of the observable state
   }
 
   int64_t open(DriverCtx& ctx, File& f) override;

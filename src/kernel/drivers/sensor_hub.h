@@ -50,20 +50,12 @@ class SensorHubDriver final : public Driver {
   void probe(DriverCtx& ctx) override;
   void reset() override;
 
-  void save_state(StateBuf& b) const override {
-    for (const auto& s : sensors_) {
-      b.b(s.enabled);
-      b.u32(s.rate_hz);
-      b.u32(s.batch_depth);
-      b.u32(s.sample_seq);
-    }
-  }
-  void load_state(StateReader& r) override {
+  void state(StateArchive& ar) override {
     for (auto& s : sensors_) {
-      s.enabled = r.b();
-      s.rate_hz = r.u32();
-      s.batch_depth = r.u32();
-      s.sample_seq = r.u32();
+      ar.b(s.enabled);
+      ar.u32(s.rate_hz);
+      ar.u32(s.batch_depth);
+      ar.u32(s.sample_seq);
     }
   }
 

@@ -48,25 +48,15 @@ class TcpcDriver final : public Driver {
   void probe(DriverCtx& ctx) override;
   void reset() override;
 
-  void save_state(StateBuf& b) const override {
-    b.u32(static_cast<uint32_t>(st_));
-    b.u32(mode_);
-    b.u32(role_);
-    b.u32(partner_);
-    b.u32(contract_mv_);
-    b.u32(contract_ma_);
-    b.u32(alert_mask_);
-    b.u32(swaps_since_connect_);
-  }
-  void load_state(StateReader& r) override {
-    st_ = static_cast<St>(r.u32());
-    mode_ = r.u32();
-    role_ = r.u32();
-    partner_ = r.u32();
-    contract_mv_ = r.u32();
-    contract_ma_ = r.u32();
-    alert_mask_ = r.u32();
-    swaps_since_connect_ = r.u32();
+  void state(StateArchive& ar) override {
+    ar.enumeration(st_);
+    ar.u32(mode_);
+    ar.u32(role_);
+    ar.u32(partner_);
+    ar.u32(contract_mv_);
+    ar.u32(contract_ma_);
+    ar.u32(alert_mask_);
+    ar.u32(swaps_since_connect_);
   }
 
   int64_t ioctl(DriverCtx& ctx, File& f, uint64_t req,

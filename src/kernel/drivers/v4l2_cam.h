@@ -55,25 +55,15 @@ class V4l2CamDriver final : public Driver {
   void probe(DriverCtx& ctx) override;
   void reset() override;
 
-  void save_state(StateBuf& b) const override {
-    b.u32(fourcc_);
-    b.u32(width_);
-    b.u32(height_);
-    b.u32(nbufs_);
-    b.u32(queued_);
-    b.b(streaming_);
-    b.b(caps_dirty_);
-    b.u32(frames_);
-  }
-  void load_state(StateReader& r) override {
-    fourcc_ = r.u32();
-    width_ = r.u32();
-    height_ = r.u32();
-    nbufs_ = r.u32();
-    queued_ = r.u32();
-    streaming_ = r.b();
-    caps_dirty_ = r.b();
-    frames_ = r.u32();
+  void state(StateArchive& ar) override {
+    ar.u32(fourcc_);
+    ar.u32(width_);
+    ar.u32(height_);
+    ar.u32(nbufs_);
+    ar.u32(queued_);
+    ar.b(streaming_);
+    ar.b(caps_dirty_);
+    ar.u32(frames_);
   }
 
   int64_t ioctl(DriverCtx& ctx, File& f, uint64_t req,

@@ -45,19 +45,12 @@ class WifiRateDriver final : public Driver {
   void probe(DriverCtx& ctx) override;
   void reset() override;
 
-  void save_state(StateBuf& b) const override {
-    b.u32(scanned_bss_);
-    b.u32(rate_count_);
-    b.b(rates_set_);
-    b.u32(power_mode_);
-    b.b(associated_);
-  }
-  void load_state(StateReader& r) override {
-    scanned_bss_ = r.u32();
-    rate_count_ = r.u32();
-    rates_set_ = r.b();
-    power_mode_ = r.u32();
-    associated_ = r.b();
+  void state(StateArchive& ar) override {
+    ar.u32(scanned_bss_);
+    ar.u32(rate_count_);
+    ar.b(rates_set_);
+    ar.u32(power_mode_);
+    ar.b(associated_);
   }
 
   int64_t ioctl(DriverCtx& ctx, File& f, uint64_t req,

@@ -1,7 +1,5 @@
 #include "kernel/kernel.h"
 
-#include <algorithm>
-
 #include "util/log.h"
 
 namespace df::kernel {
@@ -152,120 +150,78 @@ void Kernel::restore_cursors(const Cursors& c) {
   kasan_.heap().set_next_handle(c.heap_next);
 }
 
-void Kernel::save_live(StateBuf& out) const {
-  const util::RngState rs = rng_.state();
-  for (uint64_t word : rs.s) out.u64(word);
-  out.u64(next_map_);
-  // mappings_ is an unordered_map; emit in handle order for a
-  // byte-deterministic section image.
-  std::vector<uint64_t> handles;
-  handles.reserve(mappings_.size());
-  for (const auto& [h, v] : mappings_) handles.push_back(h);
-  std::sort(handles.begin(), handles.end());
-  out.u32(static_cast<uint32_t>(handles.size()));
-  for (const uint64_t h : handles) {
-    out.u64(h);
-    out.u64(mappings_.at(h));
-  }
+void Kernel::live_state(StateArchive& ar) {
+  util::RngState rs = rng_.state();
+  for (uint64_t& word : rs.s) ar.u64(word);
+  if (ar.loading()) rng_.set_state(rs);
+  ar.u64(next_map_);
+  ar.map(mappings_, [&](uint64_t& v) { ar.u64(v); });
 }
 
-void Kernel::load_live(StateReader& in) {
-  util::RngState rs;
-  for (uint64_t& word : rs.s) word = in.u64();
-  rng_.set_state(rs);
-  next_map_ = in.u64();
-  mappings_.clear();
-  const uint32_t n = in.u32();
-  for (uint32_t i = 0; i < n && in.ok(); ++i) {
-    const uint64_t h = in.u64();
-    mappings_.emplace(h, in.u64());
-  }
-}
-
-void Kernel::save_task_files(TaskId tid, StateBuf& out) const {
-  auto it = tasks_.find(tid);
-  if (it == tasks_.end()) {
-    out.u32(0);
-    out.u32(0);
-    out.i32(3);
-    return;
-  }
-  const Task& t = *it->second;
-  // Unique File descriptions in first-appearance fd order (fds() iterates
-  // the sorted fd map, so this order is deterministic).
-  std::vector<const File*> uniq;
-  std::vector<std::pair<int32_t, uint32_t>> table;
-  for (const int32_t fd : t.fds.fds()) {
-    const std::shared_ptr<File> f = t.fds.get(fd);
-    uint32_t idx = 0;
-    for (; idx < uniq.size(); ++idx) {
-      if (uniq[idx] == f.get()) break;
-    }
-    if (idx == uniq.size()) uniq.push_back(f.get());
-    table.emplace_back(fd, idx);
-  }
-  out.u32(static_cast<uint32_t>(uniq.size()));
-  for (const File* f : uniq) {
-    uint16_t didx = 0xFFFF;
-    for (size_t i = 0; i < drivers_.size(); ++i) {
-      if (drivers_[i].get() == f->drv) {
-        didx = static_cast<uint16_t>(i);
-        break;
-      }
-    }
-    out.u16(didx);
-    out.str(f->path);
-    out.u64(f->flags);
-    out.u64(f->pos);
-    out.b(f->is_sock);
-    out.u64(f->sock_type);
-    out.u64(f->sock_proto);
-    StateBuf priv;
-    if (f->drv != nullptr) f->drv->save_file_state(*f, priv);
-    out.blob(priv.bytes());
-  }
-  out.u32(static_cast<uint32_t>(table.size()));
-  for (const auto& [fd, idx] : table) {
-    out.i32(fd);
-    out.u32(idx);
-  }
-  out.i32(t.fds.next_fd());
-}
-
-bool Kernel::load_task_files(TaskId tid, StateReader& in) {
+void Kernel::task_files(TaskId tid, StateArchive& ar) {
   Task* t = task(tid);
-  if (t == nullptr) return false;
-  // Drop the current table without release hooks (the drivers are restored
-  // wholesale by the same snapshot, exactly as in reboot()).
-  t->fds.clear();
-  const uint32_t nfiles = in.u32();
+  if (ar.loading()) {
+    if (t == nullptr) return ar.fail("no task " + std::to_string(tid));
+    // Drop the current table without release hooks (the drivers are
+    // restored wholesale by the same snapshot, exactly as in reboot()).
+    t->fds.clear();
+  }
+  // Unique File descriptions in first-appearance fd order (fds() iterates
+  // the sorted fd map, so this order is deterministic), then fd -> index.
   std::vector<std::shared_ptr<File>> files;
-  files.reserve(nfiles);
-  for (uint32_t i = 0; i < nfiles && in.ok(); ++i) {
-    auto f = std::make_shared<File>();
-    const uint16_t didx = in.u16();
-    f->drv = didx < drivers_.size() ? drivers_[didx].get() : nullptr;
-    f->path = in.str();
-    f->flags = in.u64();
-    f->pos = in.u64();
-    f->is_sock = in.b();
-    f->sock_type = in.u64();
-    f->sock_proto = in.u64();
-    const std::vector<uint8_t> priv = in.blob();
-    if (f->drv != nullptr) {
-      StateReader pr(priv);
-      f->drv->load_file_state(*f, pr);
+  std::vector<std::pair<int32_t, uint32_t>> table;
+  if (!ar.loading() && t != nullptr) {
+    for (const int32_t fd : t->fds.fds()) {
+      std::shared_ptr<File> f = t->fds.get(fd);
+      uint32_t idx = 0;
+      while (idx < files.size() && files[idx] != f) ++idx;
+      if (idx == files.size()) files.push_back(std::move(f));
+      table.emplace_back(fd, idx);
     }
-    files.push_back(std::move(f));
   }
-  const uint32_t nfds = in.u32();
-  for (uint32_t i = 0; i < nfds && in.ok(); ++i) {
-    const int32_t fd = in.i32();
-    const uint32_t idx = in.u32();
-    if (idx < files.size()) t->fds.restore_install(fd, files[idx]);
+  ar.seq(files, [&](std::shared_ptr<File>& f) {
+    if (f == nullptr) f = std::make_shared<File>();
+    uint16_t didx = 0;
+    while (didx < drivers_.size() && drivers_[didx].get() != f->drv) ++didx;
+    ar.u16(didx);
+    if (ar.loading()) {
+      if (didx >= drivers_.size()) {
+        return ar.fail("file driver index " + std::to_string(didx) +
+                       " out of range");
+      }
+      f->drv = drivers_[didx].get();
+    }
+    ar.str(f->path);
+    ar.u64(f->flags);
+    ar.u64(f->pos);
+    ar.b(f->is_sock);
+    ar.u64(f->sock_type);
+    ar.u64(f->sock_proto);
+    ar.nested([&](StateArchive& inner) {
+      if (f->drv != nullptr) f->drv->file_state(*f, inner);
+    });
+  });
+  ar.seq(table, [&](std::pair<int32_t, uint32_t>& e) {
+    ar.i32(e.first);
+    ar.u32(e.second);
+  });
+  int32_t next_fd = t != nullptr ? t->fds.next_fd() : 3;
+  ar.i32(next_fd);
+  if (!ar.loading() || !ar.ok()) return;
+  for (const auto& [fd, idx] : table) {
+    if (idx >= files.size()) {
+      return ar.fail("fd " + std::to_string(fd) + " names file " +
+                     std::to_string(idx) + " of " +
+                     std::to_string(files.size()));
+    }
+    t->fds.restore_install(fd, files[idx]);
   }
-  t->fds.set_next_fd(in.i32());
-  return in.ok();
+  // Every saved File has an fd. One without would be freed right here
+  // while a driver side table may already point into it (l2cap listeners).
+  for (const auto& f : files) {
+    if (f.use_count() == 1) return ar.fail("file without an fd");
+  }
+  t->fds.set_next_fd(next_fd);
 }
 
 void Kernel::close_file(Task& task, const std::shared_ptr<File>& f) {

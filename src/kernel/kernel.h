@@ -134,19 +134,20 @@ class Kernel {
   void restore_cursors(const Cursors& c);
 
   // --- snapshot support (DESIGN.md §13) ---------------------------------------
-  // Live kernel state orthogonal to the Cursors block: the RNG position and
-  // the mmap handle table + cursor. Campaign-cumulative counters (syscall
-  // and reboot counts, dmesg sequence) are deliberately
-  // untouched — a snapshot restore rewinds the device, not the campaign.
-  void save_live(StateBuf& out) const;
-  void load_live(StateReader& in);
-  // One task's open-file table: unique File descriptions (driver, path,
-  // flags, per-open driver state via Driver::save_file_state) plus the
-  // fd -> file map (dup() sharing preserved) and the fd cursor. Restore
+  // Walks, in either direction (kernel/snapshot.h), the live kernel state
+  // orthogonal to the Cursors block: the RNG position and the mmap handle
+  // table + cursor. Campaign-cumulative counters (syscall and reboot
+  // counts, dmesg sequence) are deliberately untouched — a snapshot
+  // restore rewinds the device, not the campaign.
+  void live_state(StateArchive& ar);
+  // Walks one task's open-file table: unique File descriptions (driver,
+  // path, flags, per-open driver state via Driver::file_state) plus the
+  // fd -> file map (dup() sharing preserved) and the fd cursor. Loading
   // replaces the task's table without running release hooks, exactly like
-  // reboot() — the drivers are wholesale-restored by the same snapshot.
-  void save_task_files(TaskId tid, StateBuf& out) const;
-  bool load_task_files(TaskId tid, StateReader& in);
+  // reboot() — the drivers are wholesale-restored by the same snapshot —
+  // and rejects a driver index or file index out of range, and a per-file
+  // image its driver's walk does not consume exactly.
+  void task_files(TaskId tid, StateArchive& ar);
   // A snapshot is only captured on a sane device, so restoring one clears
   // any panic latched since.
   void clear_panic() { dmesg_.clear_panic(); }

@@ -1,6 +1,6 @@
 #include "kernel/kmalloc.h"
 
-#include <algorithm>
+#include <string>
 
 namespace df::kernel {
 
@@ -49,44 +49,30 @@ void Heap::reset() {
   // next_ keeps increasing: handles stay unique across reboots.
 }
 
-void Heap::save(StateBuf& out) const {
-  out.u64(next_);
-  // slabs_ is an unordered_map; serialize in handle order so identical
-  // heaps always produce identical section bytes (the delta check relies
-  // on byte equality).
-  std::vector<HeapPtr> handles;
-  handles.reserve(slabs_.size());
-  for (const auto& [p, s] : slabs_) handles.push_back(p);
-  std::sort(handles.begin(), handles.end());
-  out.u32(static_cast<uint32_t>(handles.size()));
-  for (const HeapPtr p : handles) {
-    const Slab& s = slabs_.at(p);
-    out.u64(p);
-    out.u64(s.size);
-    out.str(s.tag);
-    out.b(s.live);
-    out.blob(s.bytes);
-  }
-}
-
-void Heap::load(StateReader& in) {
-  slabs_.clear();
+void Heap::state(StateArchive& ar) {
+  ar.u64(next_);
+  ar.map(slabs_, [&](Slab& s) {
+    ar.u64(s.size);
+    ar.str(s.tag);
+    ar.b(s.live);
+    ar.blob(s.bytes);
+  });
+  if (!ar.loading()) return;
   live_count_ = 0;
   live_bytes_ = 0;
-  next_ = in.u64();
-  const uint32_t n = in.u32();
-  for (uint32_t i = 0; i < n && in.ok(); ++i) {
-    const HeapPtr p = in.u64();
-    Slab s;
-    s.size = static_cast<size_t>(in.u64());
-    s.tag = in.str();
-    s.live = in.b();
-    s.bytes = in.blob();
-    if (s.live) {
+  for (const auto& [p, s] : slabs_) {
+    if (p == kNullHeapPtr || p >= next_) {
+      ar.fail("slab handle " + std::to_string(p) + " outside [1, " +
+              std::to_string(next_) + ")");
+    } else if (s.live ? s.bytes.size() != s.size : !s.bytes.empty()) {
+      ar.fail("slab " + std::to_string(p) + " carries " +
+              std::to_string(s.bytes.size()) + " bytes for a " +
+              (s.live ? "live " : "freed ") + std::to_string(s.size) +
+              "-byte object");
+    } else if (s.live) {
       ++live_count_;
       live_bytes_ += s.size;
     }
-    slabs_.emplace(p, std::move(s));
   }
 }
 

@@ -23,7 +23,7 @@ inline constexpr HeapPtr kNullHeapPtr = 0;
 class Heap {
  public:
   struct Slab {
-    size_t size = 0;
+    uint64_t size = 0;
     std::string tag;      // allocation site tag, e.g. "bt_hci:codec_buf"
     bool live = false;
     std::vector<uint8_t> bytes;
@@ -55,12 +55,14 @@ class Heap {
   HeapPtr next_handle() const { return next_; }
   void set_next_handle(HeapPtr p) { next_ = p; }
 
-  // Snapshot support (DESIGN.md §13): full slab image including the
-  // KASAN quarantine (freed slabs keep their metadata) and the handle
-  // cursor, serialized in handle order so the section image is
-  // deterministic. load() replaces the entire heap.
-  void save(StateBuf& out) const;
-  void load(StateReader& in);
+  // Snapshot support (DESIGN.md §13): one walk over the full slab image,
+  // including the KASAN quarantine (freed slabs keep their metadata) and
+  // the handle cursor, in handle order so the section image is
+  // deterministic. Loading replaces the entire heap and rejects an image
+  // KASAN could not trust: a live slab whose bytes are not `size` long, a
+  // freed slab that keeps bytes, or a handle that is null, repeated, or
+  // not below the restored cursor.
+  void state(StateArchive& ar);
 
  private:
   HeapPtr next_ = 1;

@@ -321,7 +321,7 @@ TEST_P(SeededProperty, RandomSyscallStormIsMemorySafe) {
   SUCCEED();  // no crash / sanitizer violation
 }
 
-// --- Snapshots: every driver's save_state/load_state round-trips under a
+// --- Snapshots: every driver's state walk round-trips under a
 // randomized warm-up, across the whole device catalog (DESIGN.md §13) -------
 
 TEST_P(SeededProperty, DriverStateSaveLoadRoundTripsAcrossCatalog) {
@@ -356,8 +356,8 @@ TEST_P(SeededProperty, DriverStateSaveLoadRoundTripsAcrossCatalog) {
     };
     std::map<std::string, Saved> want;
     for (const auto& d : dev->kernel().drivers()) {
-      kernel::StateBuf b;
-      d->save_state(b);
+      kernel::StateArchive b;
+      d->state(b);
       want[std::string(d->name())] = {
           d->current_state(), std::string(b.bytes().begin(), b.bytes().end())};
       seen_drivers.insert(std::string(d->name()));
@@ -403,8 +403,8 @@ TEST_P(SeededProperty, DriverStateSaveLoadRoundTripsAcrossCatalog) {
     for (const auto& d : dev->kernel().drivers()) {
       const Saved& w = want.at(std::string(d->name()));
       EXPECT_EQ(d->current_state(), w.state) << spec.id << "/" << d->name();
-      kernel::StateBuf b;
-      d->save_state(b);
+      kernel::StateArchive b;
+      d->state(b);
       EXPECT_EQ(std::string(b.bytes().begin(), b.bytes().end()), w.bytes)
           << spec.id << "/" << d->name();
     }
